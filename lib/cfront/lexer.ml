@@ -202,7 +202,10 @@ let read_number lx =
     advance lx
   done;
   let spelling = String.sub lx.src start (lx.pos - start) in
-  if !is_float then Token.FloatLit (float_of_string core, spelling)
+  if !is_float then
+    match float_of_string_opt core with
+    | Some v -> Token.FloatLit (v, spelling)
+    | None -> error lx "invalid floating constant '%s'" spelling
   else
     match Int64.of_string_opt core with
     | Some v -> Token.IntLit (v, spelling)

@@ -1239,14 +1239,6 @@ and do_assign env st ~(lhs_ref : Sref.t) ~(lhs_ty : Ctype.t) ~(rhs : value)
           { s with Store.rs_offset = true })
   | _ ->
   let old = Store.get st lhs_ref in
-  (if Sys.getenv_opt "OLCLINT_DEBUG3" <> None then
-     Fmt.epr "[store before %a]@\n%a@\n" Loc.pp loc Store.pp st);
-  (if Sys.getenv_opt "OLCLINT_DEBUG2" <> None then
-     Fmt.epr "[assign %a] lhs=%s old(def=%s null=%s alloc=%s) rhs(def=%s alloc=%s)@\n"
-       Loc.pp loc (Sref.to_string lhs_ref)
-       (defstate_string old.Store.rs_def) (nullstate_string old.Store.rs_null)
-       (allocstate_string old.Store.rs_alloc)
-       (defstate_string rhs.v_def) (allocstate_string rhs.v_alloc));
   (* names of the assigned value, captured before the store is mutated
      (rebinding the lhs invalidates alias paths through it) *)
   let rhs_images_pre =
@@ -1262,11 +1254,7 @@ and do_assign env st ~(lhs_ref : Sref.t) ~(lhs_ty : Ctype.t) ~(rhs : value)
   (if
      env.flags.Flags.check_alloc
      && (not env.flags.Flags.gc_mode)
-     && has_obligation old.Store.rs_alloc
-     && (match old.Store.rs_def with
-        | DSdead | DSundefined | DSerror -> false
-        | _ -> true)
-     && not (equal_nullstate old.Store.rs_null NSnull)
+     && Store.owes_release old
    then
      let notes =
        match old.Store.rs_allocloc with
@@ -1276,24 +1264,12 @@ and do_assign env st ~(lhs_ref : Sref.t) ~(lhs_ty : Ctype.t) ~(rhs : value)
            ]
        | _ -> []
      in
-     (if Sys.getenv_opt "OLCLINT_DEBUG" <> None then
-        Fmt.epr "[dbg mustfree] lhs=%s def=%s null=%s alloc=%s@\n"
-          (Sref.to_string lhs_ref)
-          (defstate_string old.Store.rs_def)
-          (nullstate_string old.Store.rs_null)
-          (allocstate_string old.Store.rs_alloc));
      emit env ~loc ~code:"mustfree" ~notes
        "Only storage %s not released before assignment" (Sref.to_string lhs_ref));
   (* silence the overwritten object's other names so the same leak is not
      re-reported when the orphaned fresh object is scanned at exit *)
   let st =
-    if
-      has_obligation old.Store.rs_alloc
-      && (match old.Store.rs_def with
-         | DSdead | DSundefined | DSerror -> false
-         | _ -> true)
-      && not (equal_nullstate old.Store.rs_null NSnull)
-    then Store.set_alloc ~loc st lhs_ref ASerror
+    if Store.owes_release old then Store.set_alloc ~loc st lhs_ref ASerror
     else st
   in
   (* --- allocation-state transfer --- *)
@@ -1428,11 +1404,7 @@ and do_assign env st ~(lhs_ref : Sref.t) ~(lhs_ty : Ctype.t) ~(rhs : value)
   (* drop stale references derived from the overwritten location *)
   let st =
     Sref.Set.fold
-      (fun img st ->
-        List.fold_left
-          (fun st (r, _) ->
-            if Sref.derived_from ~outer:img r then Store.remove st r else st)
-          st (Store.bindings st))
+      (fun img st -> Store.fold_derived st img (fun r _ st -> Store.remove st r) st)
       images st
   in
   let def =
@@ -1631,8 +1603,8 @@ and incomplete_refs env st (r : Sref.t) : Sref.t list =
               | _ -> Sref.deref r :: acc))
       | DSpdefined ->
           (* recurse into tracked children, honouring relaxed annotations *)
-          List.fold_left
-            (fun acc (child, _) ->
+          Store.fold_derived st r
+            (fun child _ acc ->
               match Sref.base child with
               | Some b when Sref.equal b r ->
                   let an = annots_of_ref env child in
@@ -1641,7 +1613,7 @@ and incomplete_refs env st (r : Sref.t) : Sref.t list =
                       acc
                   | _ -> go child acc)
               | _ -> acc)
-            acc (Store.bindings st)
+            acc
     end
   and relaxed_field (fl : Sema.field) =
     match fl.Sema.sf_annots.Sema.an.Annot.an_def with
@@ -1654,22 +1626,22 @@ and incomplete_refs env st (r : Sref.t) : Sref.t list =
     (possibly) null but whose declared annotations say non-null (the
     "Null storage c->vals derivable from return value" anomaly). *)
 and null_derivable env st (r : Sref.t) : (Sref.t * Store.refstate) list =
-  List.filter_map
-    (fun (child, (s : Store.refstate)) ->
+  Store.fold_derived st r
+    (fun child (s : Store.refstate) acc ->
       if
-        Sref.derived_from ~outer:r child
-        && (match s.Store.rs_def with
-           | DSundefined | DSdead | DSerror -> false
-           | _ -> true)
+        (match s.Store.rs_def with
+        | DSundefined | DSdead | DSerror -> false
+        | _ -> true)
         && (match s.Store.rs_null with NSnull | NSpossnull -> true | _ -> false)
         &&
         let annots = annots_of_ref env child in
         (match annots.Annot.an_null with
         | Some Annot.Null | Some Annot.RelNull -> false
         | _ -> true)
-      then Some (child, s)
-      else None)
-    (Store.bindings st)
+      then (child, s) :: acc
+      else acc)
+    []
+  |> List.rev
 
 (* ------------------------------------------------------------------ *)
 (* Function calls                                                      *)
@@ -2114,11 +2086,10 @@ and check_obligation_transfer env st (fs : Sema.funsig) (p : Sema.param)
         | Some r ->
             (* tracked descendants holding obligations... *)
             let st =
-              List.fold_left
-                (fun st (child, (s : Store.refstate)) ->
+              Store.fold_derived st r
+                (fun child (s : Store.refstate) st ->
                   if
-                    Sref.derived_from ~outer:r child
-                    && has_obligation s.Store.rs_alloc
+                    has_obligation s.Store.rs_alloc
                     && not (equal_defstate s.Store.rs_def DSdead)
                     && not (equal_nullstate s.Store.rs_null NSnull)
                   then begin
@@ -2129,7 +2100,7 @@ and check_obligation_transfer env st (fs : Sema.funsig) (p : Sema.param)
                     Store.set_alloc ~loc:aloc st child ASerror
                   end
                   else st)
-                st (Store.bindings st)
+                st
             in
             (* ...and untouched only fields, which default to live (the
                object arrived completely defined) *)
@@ -2171,13 +2142,6 @@ and check_obligation_transfer env st (fs : Sema.funsig) (p : Sema.param)
         match p.Sema.pr_annots.Sema.an.Annot.an_alloc with
         | Some Annot.Only ->
             (* original reference becomes a dead pointer *)
-            (if Sys.getenv_opt "OLCLINT_DEBUG4" <> None then
-               Fmt.epr "[free-transfer %a] r=%s images={%s}@\nstore:@\n%a@\n" Loc.pp aloc
-                 (Sref.to_string r)
-                 (String.concat ", "
-                    (List.map Sref.to_string
-                       (Sref.Set.elements (Store.alias_images st r))))
-                 Store.pp st);
             Store.set_def ~loc:aloc st r DSdead
         | Some Annot.Keep ->
             (* obligation satisfied, reference still usable *)
@@ -2319,11 +2283,7 @@ and check_call_globals env st (fs : Sema.funsig) ~loc : Store.t =
           in
           (* drop stale derived refs *)
           let st =
-            List.fold_left
-              (fun st (child, _) ->
-                if Sref.derived_from ~outer:r child then Store.remove st child
-                else st)
-              st (Store.bindings st)
+            Store.fold_derived st r (fun child _ st -> Store.remove st child) st
           in
           Store.set st r after)
     st fs.Sema.fs_globals
@@ -2353,11 +2313,7 @@ let leak_check_ref ?ignoring env st (r : Sref.t) ~(what : string) ~loc :
   if
     env.flags.Flags.check_alloc
     && (not env.flags.Flags.gc_mode)
-    && has_obligation s.Store.rs_alloc
-    && (match s.Store.rs_def with
-       | DSdead | DSundefined | DSerror -> false
-       | _ -> true)
-    && (not (equal_nullstate s.Store.rs_null NSnull))
+    && Store.owes_release s
     && not (escapes ?ignoring env st r)
   then begin
     let notes =
@@ -2413,11 +2369,6 @@ let check_exit env st ~(ret : value option) ~loc : Store.t =
       in
       obs { xi_loc = loc; xi_ret; xi_params }
   | None -> ());
-  if Sys.getenv_opt "OLCLINT_DEBUG" <> None then
-    Fmt.epr "--- store at exit of %s (%a) ---@
-%a@
-" env.fs.Sema.fs_name
-      Cfront.Loc.pp loc Store.pp st;
   let fs = env.fs in
   let ret_an = fs.Sema.fs_ret_annots.Sema.an in
   (* ---- return value ---- *)
@@ -2679,8 +2630,8 @@ let check_exit env st ~(ret : value option) ~loc : Store.t =
   in
   (* ---- globals ---- *)
   let st =
-    List.fold_left
-      (fun st (r, (s : Store.refstate)) ->
+    Store.fold_globals st
+      (fun r (s : Store.refstate) st ->
         match Sref.view r with
         | Sref.Root (Sref.Rglobal g) -> (
             match Hashtbl.find_opt env.prog.Sema.p_globals g with
@@ -2742,7 +2693,7 @@ let check_exit env st ~(ret : value option) ~loc : Store.t =
                 in
                 st)
         | _ -> st)
-      st (Store.bindings st)
+      st
   in
   (* ---- locals still in scope, and unconsumed fresh storage ---- *)
   let st =
@@ -2750,15 +2701,12 @@ let check_exit env st ~(ret : value option) ~loc : Store.t =
       (fun st scope -> leak_check_scope env st scope.vars ~loc)
       st env.scopes
   in
-  let st =
-    List.fold_left
-      (fun st (r, _) ->
-        match Sref.view r with
-        | Sref.Root (Sref.Rfresh _) -> leak_check_ref env st r ~what:"return" ~loc
-        | _ -> st)
-      st (Store.bindings st)
-  in
-  st
+  (* fresh roots that no longer owe a release cannot leak, and the sweep
+     only ever clears obligations, so the pending set at its start covers
+     every root it can report *)
+  Store.fold_pending_fresh st
+    (fun r st -> leak_check_ref env st r ~what:"return" ~loc)
+    st
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)

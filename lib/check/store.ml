@@ -44,13 +44,96 @@ let mk_refstate ?(aliases = Sref.Set.empty) ?(offset = false) ?defloc ?nullloc
 let unknown_refstate =
   mk_refstate ~def:DSdefined ~null:NSuntracked ~alloc:ASnone ()
 
+(* Does this state still owe a release?  The state part of the leak test:
+   an obligation on storage that is neither dead, undefined, reported,
+   nor known to be NULL. *)
+let owes_release (s : refstate) =
+  has_obligation s.rs_alloc
+  && (match s.rs_def with DSdead | DSundefined | DSerror -> false | _ -> true)
+  && not (equal_nullstate s.rs_null NSnull)
+
+let is_fresh_root r =
+  match Sref.view r with Sref.Root (Sref.Rfresh _) -> true | _ -> false
+
+module Rmap = Map.Make (struct
+  type t = Sref.root
+
+  let compare = Sref.compare_root
+end)
+
+(* The binding map plus three indexes over it, so a per-statement query
+   or update costs what it touches rather than the size of the store:
+
+   - [by_root]: the tracked references with each root.  Every reference
+     derived from [r] shares [Sref.root_of r], so derived-reference scans
+     and [drop_root] visit one root's references; the globals are one
+     contiguous [Rglobal] range in [compare_root] order.
+   - [aliased]: tracked references whose alias set is non-empty — the
+     only candidates for a dangling edge after [drop_root].
+   - [pending]: tracked [Rfresh] roots whose state {!owes_release}; the
+     return-time sweep for unreleased fresh storage visits only these.
+
+   Sets iterate in [Sref.compare] order, the order of the map itself, so
+   a scan through an index visits references exactly as a filtered walk
+   of the whole map would. *)
 type t = {
   map : refstate Sref.Map.t;
+  by_root : Sref.Set.t Rmap.t;
+  aliased : Sref.Set.t;
+  pending : Sref.Set.t;
   reachable : bool;
       (** false after a [return] or a call to an [exits] function *)
 }
 
-let empty = { map = Sref.Map.empty; reachable = true }
+let empty =
+  {
+    map = Sref.Map.empty;
+    by_root = Rmap.empty;
+    aliased = Sref.Set.empty;
+    pending = Sref.Set.empty;
+    reachable = true;
+  }
+
+let has_aliases (s : refstate) = not (Sref.Set.is_empty s.rs_aliases)
+
+(* add [r] to [set] or take it out, when membership changed *)
+let toggle set r ~was ~now =
+  if Bool.equal was now then set
+  else if now then Sref.Set.add r set
+  else Sref.Set.remove r set
+
+let index_add r by_root =
+  Rmap.update (Sref.root_of r)
+    (function
+      | None -> Some (Sref.Set.singleton r)
+      | Some refs -> Some (Sref.Set.add r refs))
+    by_root
+
+let index_remove r by_root =
+  Rmap.update (Sref.root_of r)
+    (function
+      | None -> None
+      | Some refs ->
+          let refs = Sref.Set.remove r refs in
+          if Sref.Set.is_empty refs then None else Some refs)
+    by_root
+
+(* Build every index from scratch: only for whole-store rewrites
+   ([collapse_deep]), which visit every binding anyway. *)
+let of_map map ~reachable =
+  Sref.Map.fold
+    (fun r s st ->
+      {
+        st with
+        by_root = index_add r st.by_root;
+        aliased = (if has_aliases s then Sref.Set.add r st.aliased else st.aliased);
+        pending =
+          (if is_fresh_root r && owes_release s then Sref.Set.add r st.pending
+           else st.pending);
+      })
+    map
+    { empty with map; reachable }
+
 let find st r = Sref.Map.find_opt r st.map
 let mem st r = Sref.Map.mem r st.map
 let get st r = match find st r with Some s -> s | None -> unknown_refstate
@@ -83,34 +166,43 @@ let refstate_same (a : refstate) (b : refstate) =
    change the store (same state already bound) are elided — no tree
    rebuild — and tick [store_ops_elided] instead. *)
 let set st r s =
-  (* single tree traversal: [update] both reads the old binding and
-     writes the new one; returning the old refstate on a no-op makes
-     [update] hand back the map physically unchanged *)
-  let map =
-    Sref.Map.update r
-      (function Some old when refstate_same old s -> Some old | _ -> Some s)
-      st.map
-  in
-  if map == st.map then begin
-    Telemetry.Counter.tick Telemetry.c_store_ops_elided;
-    st
-  end
-  else begin
-    Telemetry.Counter.tick Telemetry.c_store_ops;
-    { st with map }
-  end
+  match Sref.Map.find_opt r st.map with
+  | Some old when refstate_same old s ->
+      Telemetry.Counter.tick Telemetry.c_store_ops_elided;
+      st
+  | prev ->
+      Telemetry.Counter.tick Telemetry.c_store_ops;
+      let was_aliased, was_pending =
+        match prev with
+        | Some old -> (has_aliases old, owes_release old)
+        | None -> (false, false)
+      in
+      {
+        st with
+        map = Sref.Map.add r s st.map;
+        by_root = (if Option.is_none prev then index_add r st.by_root else st.by_root);
+        aliased = toggle st.aliased r ~was:was_aliased ~now:(has_aliases s);
+        pending =
+          (if is_fresh_root r then
+             toggle st.pending r ~was:was_pending ~now:(owes_release s)
+           else st.pending);
+      }
 
 let remove st r =
-  (* [Map.remove] returns its argument physically when [r] is unbound *)
-  let map = Sref.Map.remove r st.map in
-  if map == st.map then begin
-    Telemetry.Counter.tick Telemetry.c_store_ops_elided;
-    st
-  end
-  else begin
-    Telemetry.Counter.tick Telemetry.c_store_ops;
-    { st with map }
-  end
+  match Sref.Map.find_opt r st.map with
+  | None ->
+      Telemetry.Counter.tick Telemetry.c_store_ops_elided;
+      st
+  | Some old ->
+      Telemetry.Counter.tick Telemetry.c_store_ops;
+      {
+        st with
+        map = Sref.Map.remove r st.map;
+        by_root = index_remove r st.by_root;
+        aliased =
+          (if has_aliases old then Sref.Set.remove r st.aliased else st.aliased);
+        pending = Sref.Set.remove r st.pending;
+      }
 let unreachable st = { st with reachable = false }
 let is_reachable st = st.reachable
 let bindings st = Sref.Map.bindings st.map
@@ -212,26 +304,62 @@ let set_alloc ?loc st r a =
   update_images st r (fun s -> { s with rs_alloc = a; rs_allocloc = loc })
 
 (** Drop every binding whose reference involves [root] (scope exit), and
-    remove dangling alias edges pointing into the dropped set. *)
+    remove dangling alias edges pointing into the dropped set.  Visits the
+    root's references and the aliased ones, not the whole store. *)
 let drop_root st root =
-  let keep, dropped =
-    Sref.Map.partition (fun r _ -> not (Sref.mentions_root root r)) st.map
-  in
-  let dropped_refs =
-    Sref.Map.fold (fun r _ acc -> Sref.Set.add r acc) dropped Sref.Set.empty
-  in
-  let keep =
-    Sref.Map.map
-      (fun s -> { s with rs_aliases = Sref.Set.diff s.rs_aliases dropped_refs })
-      keep
-  in
-  { st with map = keep }
+  match Rmap.find_opt root st.by_root with
+  | None -> st
+  | Some dropped ->
+      let map = Sref.Set.fold Sref.Map.remove dropped st.map in
+      let aliased = Sref.Set.fold Sref.Set.remove dropped st.aliased in
+      let pending = Sref.Set.fold Sref.Set.remove dropped st.pending in
+      let map, aliased =
+        Sref.Set.fold
+          (fun r ((map, aliased) as acc) ->
+            let s = Sref.Map.find r map in
+            if not (Sref.Set.exists (fun a -> Sref.Set.mem a dropped) s.rs_aliases)
+            then acc
+            else
+              let s = { s with rs_aliases = Sref.Set.diff s.rs_aliases dropped } in
+              ( Sref.Map.add r s map,
+                if has_aliases s then aliased else Sref.Set.remove r aliased ))
+          aliased (map, aliased)
+      in
+      { st with map; by_root = Rmap.remove root st.by_root; aliased; pending }
 
-(** References rooted at [root] currently tracked. *)
-let refs_with_root st root =
-  Sref.Map.fold
-    (fun r s acc -> if Sref.mentions_root root r then (r, s) :: acc else acc)
-    st.map []
+(** Fold over the tracked proper derivations of [r] ({!Sref.derived_from}),
+    in [Sref.compare] order: one root's references, not the whole store. *)
+let fold_derived st r f acc =
+  match Rmap.find_opt (Sref.root_of r) st.by_root with
+  | None -> acc
+  | Some refs ->
+      Sref.Set.fold
+        (fun c acc ->
+          if Sref.derived_from ~outer:r c then f c (Sref.Map.find c st.map) acc
+          else acc)
+        refs acc
+
+(** Fold over the bound global roots ([Rglobal] root references, not
+    their derivations), in [Sref.compare] order. *)
+let fold_globals st f acc =
+  let rec go seq acc =
+    match seq () with
+    | Seq.Cons ((Sref.Rglobal _, refs), rest) ->
+        (* a root sorts before every reference derived from it *)
+        let r = Sref.Set.min_elt refs in
+        let acc =
+          match Sref.view r with
+          | Sref.Root _ -> f r (Sref.Map.find r st.map) acc
+          | _ -> acc
+        in
+        go rest acc
+    | _ -> acc
+  in
+  go (Rmap.to_seq_from (Sref.Rglobal "") st.by_root) acc
+
+(** Fold over the tracked [Rfresh] roots whose state {!owes_release}, in
+    [Sref.compare] order. *)
+let fold_pending_fresh st f acc = Sref.Set.fold f st.pending acc
 
 (* ------------------------------------------------------------------ *)
 (* Confluence                                                          *)
@@ -263,6 +391,34 @@ let derived_def st r ~(other : defstate) : defstate =
   | Some { rs_def = DSundefined; _ } -> DSundefined
   | Some { rs_def = DSdead; _ } -> DSdead
   | _ -> DSdefined
+
+(* Join two reachable stores with a per-reference [join] that never
+   drops a key: the result binds the union of both key sets, and its
+   alias set is the union of both sides', so the root index and the
+   aliased set are unions too.  Only [pending] depends on the joined
+   states; it is collected from the [join] results as the merge visits
+   them, never by re-scanning the merged map. *)
+let join_with join (a : t) (b : t) : t =
+  let pending = ref Sref.Set.empty in
+  let join_one r sa sb =
+    let res = join r sa sb in
+    (match res with
+    | Some s when is_fresh_root r && owes_release s ->
+        pending := Sref.Set.add r !pending
+    | _ -> ());
+    res
+  in
+  let map = Sref.Map.merge join_one a.map b.map in
+  let union x y = if x == y then x else Sref.Set.union x y in
+  {
+    map;
+    by_root =
+      (if a.by_root == b.by_root then a.by_root
+       else Rmap.union (fun _ x y -> Some (union x y)) a.by_root b.by_root);
+    aliased = union a.aliased b.aliased;
+    pending = !pending;
+    reachable = true;
+  }
 
 (** Merge two stores at a confluence point.  [on_conflict] is called for
     each anomaly; the merged state for a conflicting reference is the error
@@ -356,8 +512,7 @@ let merge ~(on_conflict : conflict -> unit) (a : t) (b : t) : t =
               (if xa.rs_allocloc <> None then xa.rs_allocloc else xb.rs_allocloc);
           }
       in
-      let map = Sref.Map.merge merge_one a.map b.map in
-      { map; reachable = true }
+      join_with merge_one a b
 
 (* ------------------------------------------------------------------ *)
 (* Widening ([+loopexec] back-edge joins)                              *)
@@ -447,7 +602,7 @@ let widen (a : t) (b : t) : t =
             and xb = fill b r (other_def sa) sb in
             Some (widen_refstate xa xb)
       in
-      { map = Sref.Map.merge widen_one a.map b.map; reachable = true }
+      join_with widen_one a b
 
 (** Collapse every binding deeper than [depth] onto its depth-[depth]
     ancestor (joining states with {!widen_refstate}), and rewrite alias
@@ -476,7 +631,7 @@ let collapse_deep ~depth (st : t) : t =
           Sref.Map.add r' s acc)
         st.map Sref.Map.empty
     in
-    { st with map }
+    of_map map ~reachable:st.reachable
 
 let pp ppf st =
   Sref.Map.iter

@@ -44,6 +44,8 @@ val set : t -> Sref.t -> refstate -> t
 val remove : t -> Sref.t -> t
 val update : t -> Sref.t -> (refstate -> refstate) -> t
 val bindings : t -> (Sref.t * refstate) list
+(** Every binding, in [Sref.compare] order.  O(store): the reference
+    oracle for the indexed queries below, not for per-statement use. *)
 
 val unreachable : t -> t
 (** Mark the path dead (after [return] or an [exits] call). *)
@@ -78,9 +80,29 @@ val refine_null : ?loc:Cfront.Loc.t -> t -> Sref.t -> nullstate -> t
 
 val drop_root : t -> Sref.root -> t
 (** Scope exit: drop every binding mentioning the root and prune dangling
-    alias edges. *)
+    alias edges.  Visits that root's references and the references with a
+    non-empty alias set, not the whole store. *)
 
-val refs_with_root : t -> Sref.root -> (Sref.t * refstate) list
+(** {2 Indexed queries}
+
+    Each visits only what its index holds, in [Sref.compare] order — the
+    order a filtered walk of {!bindings} would give. *)
+
+val fold_derived :
+  t -> Sref.t -> (Sref.t -> refstate -> 'a -> 'a) -> 'a -> 'a
+(** Fold over the tracked proper derivations of a reference
+    ({!Sref.derived_from}); visits the references sharing its root. *)
+
+val fold_globals : t -> (Sref.t -> refstate -> 'a -> 'a) -> 'a -> 'a
+(** Fold over the bound [Rglobal] root references. *)
+
+val owes_release : refstate -> bool
+(** The state part of the leak test: an obligation ({!State.has_obligation})
+    on storage that is not dead, undefined or error-marked, and not known
+    to be NULL. *)
+
+val fold_pending_fresh : t -> (Sref.t -> 'a -> 'a) -> 'a -> 'a
+(** Fold over the bound [Rfresh] roots whose state {!owes_release}. *)
 
 (** A conflict discovered while merging two branches. *)
 type conflict =

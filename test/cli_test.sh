@@ -160,6 +160,12 @@ EOF
 "$OLCLINT" "$tmp/bad.c" > "$tmp/out" 2>&1
 [ $? -eq 2 ] || fail "parse error should exit 2"
 
+# a float literal with an empty exponent is a lexical error, not a crash
+printf 'double x = 1e;\ndouble y = 1.5e+;\n' > "$tmp/badfloat.c"
+"$OLCLINT" "$tmp/badfloat.c" > "$tmp/out" 2>&1
+[ $? -eq 2 ] || fail "float literal with an empty exponent should exit 2"
+expect_contains "$tmp/out" "invalid floating constant" "empty-exponent diagnostic"
+
 # --- allocation profile ----------------------------------------------------
 cat > "$tmp/prof.c" <<'CEOF'
 int main(void)
@@ -536,6 +542,15 @@ printf '%s\n' "$check_req" '{"op":"shutdown"}' \
   || fail "server with corrupted cache should still run"
 expect_contains "$tmp/srverr" "ignoring cache" "corrupted cache warning"
 sed -n 1p "$tmp/srv3" | grep -q '"tier":"cold"' || fail "corrupted cache must not be adopted"
+
+# a lexical error in a request is answered ok:false; the server keeps serving
+printf '%s\n' \
+  '{"op":"check","files":[{"name":"f.c","text":"double x = 1e;"}]}' \
+  "$check_req" '{"op":"shutdown"}' \
+  | "$OLCLINT" -server > "$tmp/srv4" 2>&1 \
+  || fail "server should survive a malformed float literal"
+sed -n 1p "$tmp/srv4" | grep -q '"ok":false' || fail "malformed float should answer ok:false"
+sed -n 2p "$tmp/srv4" | grep -q '"code":"mustfree"' || fail "server should keep checking after a lexical error"
 
 # --- documentation drift gate ------------------------------------------------
 # every checking flag and every telemetry counter must appear in the

@@ -1219,9 +1219,71 @@ let loopexec_tests =
       test_do_at_least_once_loopexec;
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Cost growth with procedure length                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* One [main] of [blocks] alloc / guard / use / release blocks.  Blocks 1,
+   2 and 3 leak, use after free and free twice, so every size yields the
+   same diagnostics on the same lines. *)
+let long_main blocks =
+  let b = Buffer.create (blocks * 160) in
+  Buffer.add_string b "int main(void)\n{\n  int total;\n  total = 0;\n";
+  for k = 0 to blocks - 1 do
+    let p = Printf.sprintf "p%d" k in
+    Printf.bprintf b
+      "  {\n    char *%s = (char *) malloc(16);\n\
+      \    if (%s == NULL) {\n      return 1;\n    }\n    %s[0] = 'a';\n"
+      p p p;
+    (match k with
+    | 1 -> Printf.bprintf b "    total = total + %s[0];\n" p
+    | 2 -> Printf.bprintf b "    free(%s);\n    total = total + %s[0];\n" p p
+    | 3 ->
+        Printf.bprintf b "    total = total + %s[0];\n    free(%s);\n    free(%s);\n"
+          p p p
+    | _ -> Printf.bprintf b "    total = total + %s[0];\n    free(%s);\n" p p);
+    Buffer.add_string b "  }\n"
+  done;
+  Buffer.add_string b "  return total;\n}\n";
+  Buffer.contents b
+
+(* Words the checker allocates on [long_main blocks] (parse and sema
+   excluded), and its diagnostics as "line:code". *)
+let check_long_main blocks =
+  let flags = Flags.default in
+  let prog = Stdspec.environment ~flags () in
+  let typedefs = Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs [] in
+  let tu = Cfront.Parser.parse_string ~typedefs ~file:"long.c" (long_main blocks) in
+  ignore (Sema.analyze ~flags ~into:prog tu);
+  let before = Gc.allocated_bytes () in
+  let diags = Parcheck.check_program ~jobs:1 prog in
+  let words = (Gc.allocated_bytes () -. before) /. float (Sys.word_size / 8) in
+  ( words,
+    List.map
+      (fun (d : Cfront.Diag.t) ->
+        Printf.sprintf "%d:%s" d.Cfront.Diag.loc.Cfront.Loc.line d.Cfront.Diag.code)
+      diags )
+
+(* Evans' checker is one pass per procedure, so checking cost is linear in
+   procedure length: four times the blocks should cost about four times
+   the allocation.  A per-statement scan of the whole store makes it
+   quadratic (a ratio near 16).  Allocation is deterministic, unlike
+   wall-clock time, so this gates without a timing race. *)
+let test_growth_linear () =
+  let golden = [ "14:mustfree"; "29:usereleased"; "39:usereleased" ] in
+  let small_words, small = check_long_main 250 in
+  let large_words, large = check_long_main 1000 in
+  Alcotest.(check (list string)) "250-block diagnostics" golden small;
+  Alcotest.(check (list string)) "1000-block diagnostics" golden large;
+  let ratio = large_words /. small_words in
+  if ratio > 6.0 then
+    Alcotest.failf "checker allocation grew %.1fx for 4x the blocks (%.0f -> %.0f words)"
+      ratio small_words large_words
+
 let () =
   Alcotest.run "check"
     [
+      ("growth", [ Alcotest.test_case "linear in procedure length" `Quick test_growth_linear ]);
       ( "figures",
         [
           Alcotest.test_case "fig1 clean" `Quick test_fig1_unannotated_clean;

@@ -134,9 +134,26 @@ let prop_pretty_stable =
           once = twice)
         p.Progen.files)
 
+(* an exponent marker with no digits is a lexical diagnostic (exit 2 in
+   olclint), never an escaping [Failure] *)
+let test_float_empty_exponent () =
+  List.iter
+    (fun lit ->
+      let src = Printf.sprintf "double x = %s;\n" lit in
+      match Cfront.Lexer.tokenize ~file:"f.c" src with
+      | exception Cfront.Diag.Fatal d ->
+          Alcotest.(check string) ("code for " ^ lit) "lex" d.Cfront.Diag.code
+      | _ -> Alcotest.fail ("expected a lexical diagnostic on " ^ lit))
+    [ "1e"; "1.5e+"; "2E-"; ".5e"; "1eF" ]
+
 let () =
   Alcotest.run "robustness"
     [
+      ( "lexer",
+        [
+          Alcotest.test_case "float with empty exponent" `Quick
+            test_float_empty_exponent;
+        ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_checker_total;

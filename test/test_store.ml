@@ -266,6 +266,183 @@ let prop_merge_comm =
           && Sref.Set.equal x.Store.rs_aliases y.Store.rs_aliases)
         (Store.bindings ab))
 
+(* ------------------------------------------------------------------ *)
+(* Store indexes against a brute-force oracle                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The indexed queries must answer exactly what a filtered walk of
+   {!Store.bindings} answers, in the same order, after any sequence of
+   store operations. *)
+
+let idx_roots =
+  [| Sref.Rlocal "a"; Sref.Rlocal "b"; Sref.Rparam (0, "a"); Sref.Rglobal "g";
+     Sref.Rglobal "h"; Sref.Rret; Sref.Rfresh (1, "malloc");
+     Sref.Rfresh (2, "malloc") |]
+
+(* every root with a few derivations, up to depth 2 *)
+let idx_refs =
+  Array.concat
+    (List.map
+       (fun rt ->
+         let r = Sref.root rt in
+         [| r; Sref.deref r; fld r "f"; fld (Sref.deref r) "n";
+            Sref.deref (fld r "f") |])
+       (Array.to_list idx_roots))
+
+let idx_allocs =
+  [| ASnone; ASonly; ASowned; ASrefcounted; ASkept; AStemp; ASdependent;
+     ASshared; ASobserver; ASerror |]
+
+type op =
+  | Set of int * int * int * int * int list  (** ref, def, null, alloc, aliases *)
+  | Remove of int
+  | Alias of int * int
+  | Drop of int  (** root *)
+  | Join of bool * bool * op list
+      (** widen (else merge), other branch reachable, its operations *)
+  | Collapse of int
+
+let rec show_op = function
+  | Set (r, d, n, a, al) ->
+      Printf.sprintf "set %s %d/%d/%d [%s]" (Sref.to_string idx_refs.(r)) d n a
+        (String.concat "," (List.map (fun i -> Sref.to_string idx_refs.(i)) al))
+  | Remove r -> "remove " ^ Sref.to_string idx_refs.(r)
+  | Alias (a, b) ->
+      Printf.sprintf "alias %s %s" (Sref.to_string idx_refs.(a))
+        (Sref.to_string idx_refs.(b))
+  | Drop i -> "drop " ^ Sref.show_root idx_roots.(i)
+  | Join (w, reach, ops) ->
+      Printf.sprintf "%s%s(%s)" (if w then "widen" else "merge")
+        (if reach then "" else "-dead")
+        (String.concat "; " (List.map show_op ops))
+  | Collapse d -> Printf.sprintf "collapse %d" d
+
+let gen_ops =
+  let open QCheck.Gen in
+  let nref = Array.length idx_refs in
+  let ref_ = int_bound (nref - 1) in
+  let leaf =
+    frequency
+      [
+        ( 6,
+          map
+            (fun ((r, d), (n, a), al) -> Set (r, d, n, a, al))
+            (triple (pair ref_ (int_bound 5))
+               (pair (int_bound 4) (int_bound (Array.length idx_allocs - 1)))
+               (list_size (int_bound 2) ref_)) );
+        (2, map (fun r -> Remove r) ref_);
+        (3, map2 (fun a b -> Alias (a, b)) ref_ ref_);
+        (2, map (fun i -> Drop i) (int_bound (Array.length idx_roots - 1)));
+        (1, map (fun d -> Collapse d) (int_bound 2));
+      ]
+  in
+  fix
+    (fun self depth ->
+      let op =
+        if depth = 0 then leaf
+        else
+          frequency
+            [
+              (8, leaf);
+              ( 2,
+                map3
+                  (fun w reach ops -> Join (w, reach, ops))
+                  bool
+                  (frequencyl [ (9, true); (1, false) ])
+                  (self (depth - 1)) );
+            ]
+      in
+      list_size (int_bound 20) op)
+    2
+
+let same_bindings =
+  List.equal (fun (r1, s1) (r2, s2) ->
+      Sref.equal r1 r2 && Store.refstate_equal s1 s2)
+
+let is_root_of_kind kind r =
+  match (Sref.view r, kind) with
+  | Sref.Root (Sref.Rglobal _), `Global | Sref.Root (Sref.Rfresh _), `Fresh -> true
+  | _ -> false
+
+(* the leak test's state part, spelled out independently of the store *)
+let owes (s : Store.refstate) =
+  has_obligation s.Store.rs_alloc
+  && (not (List.mem s.Store.rs_def [ DSdead; DSundefined; DSerror ]))
+  && not (equal_nullstate s.Store.rs_null NSnull)
+
+let rec indexes_agree ~drops st =
+  let bs = Store.bindings st in
+  let derived_ok r =
+    same_bindings
+      (List.rev (Store.fold_derived st r (fun c s acc -> (c, s) :: acc) []))
+      (List.filter (fun (c, _) -> Sref.derived_from ~outer:r c) bs)
+  in
+  let drop_ok rt =
+    let gone =
+      Sref.Set.of_list
+        (List.filter_map
+           (fun (r, _) -> if Sref.mentions_root rt r then Some r else None)
+           bs)
+    in
+    let expect =
+      List.filter_map
+        (fun (r, (s : Store.refstate)) ->
+          if Sref.Set.mem r gone then None
+          else
+            Some (r, { s with Store.rs_aliases = Sref.Set.diff s.Store.rs_aliases gone }))
+        bs
+    in
+    let dropped = Store.drop_root st rt in
+    same_bindings (Store.bindings dropped) expect
+    && indexes_agree ~drops:false dropped
+  in
+  Array.for_all derived_ok idx_refs
+  && same_bindings
+       (List.rev (Store.fold_globals st (fun r s acc -> (r, s) :: acc) []))
+       (List.filter (fun (r, _) -> is_root_of_kind `Global r) bs)
+  && List.equal Sref.equal
+       (List.rev (Store.fold_pending_fresh st (fun r acc -> r :: acc) []))
+       (List.filter_map
+          (fun (r, s) -> if is_root_of_kind `Fresh r && owes s then Some r else None)
+          bs)
+  && ((not drops) || Array.for_all drop_ok idx_roots)
+
+exception Disagree of string
+
+(* apply the operations, checking the indexes after every one *)
+let rec run_ops st ops =
+  List.fold_left
+    (fun st op ->
+      let st =
+        match op with
+        | Set (r, d, n, a, al) ->
+            Store.set st idx_refs.(r)
+              (Store.mk_refstate
+                 ~aliases:(Sref.Set.of_list (List.map (fun i -> idx_refs.(i)) al))
+                 ~def:(List.nth all_defstates d) ~null:(List.nth all_nullstates n)
+                 ~alloc:idx_allocs.(a) ())
+        | Remove r -> Store.remove st idx_refs.(r)
+        | Alias (a, b) -> Store.add_alias st idx_refs.(a) idx_refs.(b)
+        | Drop i -> Store.drop_root st idx_roots.(i)
+        | Join (w, reach, ops) ->
+            let other = run_ops st ops in
+            let other = if reach then other else Store.unreachable other in
+            if w then Store.widen st other
+            else Store.merge ~on_conflict:ignore st other
+        | Collapse d -> Store.collapse_deep ~depth:d st
+      in
+      if not (indexes_agree ~drops:true st) then raise (Disagree (show_op op));
+      st)
+    st ops
+
+let prop_indexes_match_oracle =
+  QCheck.Test.make ~count:200 ~name:"store indexes match a bindings scan"
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_op ops)) gen_ops)
+    (fun ops ->
+      match run_ops Store.empty ops with
+      | _ -> true
+      | exception Disagree op -> QCheck.Test.fail_reportf "disagree after %s" op)
+
 let () =
   Alcotest.run "store"
     [
@@ -292,5 +469,6 @@ let () =
           Alcotest.test_case "derived defaults" `Quick test_merge_derived_default;
           QCheck_alcotest.to_alcotest prop_merge_idem;
           QCheck_alcotest.to_alcotest prop_merge_comm;
+          QCheck_alcotest.to_alcotest prop_indexes_match_oracle;
         ] );
     ]
