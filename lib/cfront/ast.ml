@@ -180,6 +180,27 @@ let mk_stmt ?(loc = Loc.dummy) s = { s; sloc = loc }
 
 let annot ?(loc = Loc.dummy) text = { a_text = text; a_loc = loc }
 
+(** [switch_arms body] segments a [switch] body into its case arms and
+    says whether it has a [default].  A new arm starts at each top-level
+    [case]/[default] label; labels run together extend the current arm,
+    and only a top-level [default] counts.  A body that is not a
+    compound statement is one arm. *)
+let switch_arms (body : stmt) : stmt list list * bool =
+  match body.s with
+  | Sblock stmts ->
+      let rec segment acc cur has_default = function
+        | [] -> (List.rev (List.rev cur :: acc), has_default)
+        | ({ s = Scase _; _ } as s) :: rest when cur <> [] ->
+            segment (List.rev cur :: acc) [ s ] has_default rest
+        | ({ s = Sdefault _; _ } as s) :: rest when cur <> [] ->
+            segment (List.rev cur :: acc) [ s ] true rest
+        | ({ s = Sdefault _; _ } as s) :: rest ->
+            segment acc (s :: cur) true rest
+        | s :: rest -> segment acc (s :: cur) has_default rest
+      in
+      segment [] [] false stmts
+  | _ -> ([ [ body ] ], false)
+
 (** [is_lvalue_shape e] is a purely syntactic test: could [e] denote a
     storage location?  (The checker refines this with type information.) *)
 let rec is_lvalue_shape e =

@@ -1,7 +1,7 @@
 (** Parallel checking driver (see parcheck.mli for the contract).
 
     The unit of work is one {e procedure}: checking a procedure whose
-    body cannot mutate the shared program environment ({!Ir.mutates_env})
+    body cannot mutate the shared program environment ([mutates_env])
     reads the post-sema program strictly read-only, so those tasks run
     against the original program shared across domains — no
     {!Sema.copy_for_check} per task.  The few procedures that {e can}
@@ -22,7 +22,7 @@
     reused across runs ([pool_reuses] telemetry): repeated checking —
     the incremental server, the differential harness, benchmarks — skips
     the domain spawn/teardown cost and keeps per-domain caches (the
-    checker's lowered-IR cache, the [Sref] intern tables) alive. *)
+    [Sref] intern tables) alive. *)
 
 module Diag = Cfront.Diag
 module Flags = Annot.Flags
@@ -255,6 +255,95 @@ let tasks_of_program (prog : Sema.program) :
        (fun file -> (file, List.rev !(Hashtbl.find tbl file)))
        !order)
 
+(* ------------------------------------------------------------------ *)
+(* Environment-mutation scan                                           *)
+(* ------------------------------------------------------------------ *)
+
+module Ast = Cfront.Ast
+
+(* Can checking this body mutate the shared program environment?  The
+   checker resolves block-scope declaration types and cast/sizeof types
+   with [Sema.resolve_ty], whose mutating paths are an inline
+   struct/union field list or enum item list (registers the definition)
+   and an anonymous tag (mints a fresh one).  Block-scope typedef/extern
+   declarations additionally reach [Sema.process_decl].  Everything else
+   the checker does against the program is a read. *)
+
+let rec ty_mutates (t : Ast.ty) : bool =
+  match t with
+  | Ast.Tbase b -> base_mutates b
+  | Ast.Tptr t -> ty_mutates t
+  | Ast.Tarray (t, size) ->
+      ty_mutates t || (match size with Some e -> expr_mutates e | None -> false)
+  | Ast.Tfunc ft ->
+      ty_mutates ft.Ast.ft_ret
+      || List.exists (fun (p : Ast.param) -> ty_mutates p.Ast.p_ty)
+           ft.Ast.ft_params
+
+and base_mutates (b : Ast.base_type) : bool =
+  match b with
+  | Ast.Tstruct (tag, fields) | Ast.Tunion (tag, fields) ->
+      tag = None || fields <> None
+  | Ast.Tenum (tag, items) -> tag = None || items <> None
+  | _ -> false
+
+and expr_mutates (e : Ast.expr) : bool =
+  match e.Ast.e with
+  | Ast.Eint _ | Ast.Echar _ | Ast.Estring _ | Ast.Efloat _ | Ast.Eident _ ->
+      false
+  | Ast.Ecall (f, args) -> expr_mutates f || List.exists expr_mutates args
+  | Ast.Emember (b, _)
+  | Ast.Earrow (b, _)
+  | Ast.Ederef b
+  | Ast.Eaddr b
+  | Ast.Eunary (_, b)
+  | Ast.Epostincr b
+  | Ast.Epostdecr b
+  | Ast.Epreincr b
+  | Ast.Epredecr b
+  | Ast.Esizeof_expr b ->
+      expr_mutates b
+  | Ast.Ecast (t, b) -> ty_mutates t || expr_mutates b
+  | Ast.Esizeof_type t -> ty_mutates t
+  | Ast.Eindex (a, b)
+  | Ast.Ebinary (_, a, b)
+  | Ast.Eassign (_, a, b)
+  | Ast.Ecomma (a, b) ->
+      expr_mutates a || expr_mutates b
+  | Ast.Econd (a, b, c) -> expr_mutates a || expr_mutates b || expr_mutates c
+
+let rec init_mutates = function
+  | Ast.Iexpr e -> expr_mutates e
+  | Ast.Ilist is -> List.exists init_mutates is
+
+let decl_mutates (d : Ast.decl) : bool =
+  d.Ast.d_storage = Ast.Stypedef
+  || d.Ast.d_storage = Ast.Sextern
+  || ty_mutates d.Ast.d_ty
+  || match d.Ast.d_init with Some i -> init_mutates i | None -> false
+
+let rec stmt_mutates (s : Ast.stmt) : bool =
+  match s.Ast.s with
+  | Ast.Sskip | Ast.Sbreak | Ast.Scontinue | Ast.Sgoto _ -> false
+  | Ast.Sexpr e | Ast.Sassert e | Ast.Sreturn (Some e) -> expr_mutates e
+  | Ast.Sreturn None -> false
+  | Ast.Sdecl ds -> List.exists decl_mutates ds
+  | Ast.Sblock ss -> List.exists stmt_mutates ss
+  | Ast.Sif (c, t, f) ->
+      expr_mutates c || stmt_mutates t
+      || (match f with Some f -> stmt_mutates f | None -> false)
+  | Ast.Swhile (c, b) | Ast.Sdo (b, c) | Ast.Sswitch (c, b) | Ast.Scase (c, b)
+    ->
+      expr_mutates c || stmt_mutates b
+  | Ast.Sfor (i, c, st, b) ->
+      (match i with Some s -> stmt_mutates s | None -> false)
+      || (match c with Some e -> expr_mutates e | None -> false)
+      || (match st with Some e -> expr_mutates e | None -> false)
+      || stmt_mutates b
+  | Ast.Sdefault b | Ast.Slabel (_, b) -> stmt_mutates b
+
+let mutates_env (f : Ast.fundef) : bool = stmt_mutates f.Ast.f_body
+
 type check_task =
   | Proc of Sema.funsig * Cfront.Ast.fundef
       (** shares the program read-only across domains *)
@@ -269,7 +358,7 @@ type check_task =
 let check_tasks (prog : Sema.program) : check_task array =
   tasks_of_program prog |> Array.to_list
   |> List.concat_map (fun (_file, fds) ->
-         if List.exists (fun (_, f) -> Ir.mutates_env f) fds then [ File fds ]
+         if List.exists (fun (_, f) -> mutates_env f) fds then [ File fds ]
          else List.map (fun (fs, f) -> Proc (fs, f)) fds)
   |> Array.of_list
 

@@ -2,9 +2,10 @@
     program on a pool of OCaml 5 domains ([olclint -j N]).
 
     Work is partitioned per {e procedure}: tasks whose body cannot
-    mutate the shared program environment ({!Ir.mutates_env}) check
-    against the original post-sema program, shared read-only across
-    domains; files containing environment-mutating procedures remain
+    mutate the shared program environment (no block-scope [typedef] or
+    [extern], no type that registers a tag definition) check against
+    the original post-sema program, shared read-only across domains;
+    files containing environment-mutating procedures remain
     file-granular tasks against a private {!Sema.copy_for_check}.
     Tasks are scheduled by work-stealing (per-task atomic claim flags
     over contiguous per-worker ranges) on a process-wide pool of warm

@@ -2,7 +2,7 @@
     and docs/summaries.md).
 
     The extraction is a small path-forking abstract interpreter over the
-    flat checking IR: each path carries an abstract value per variable
+    function body's AST: each path carries an abstract value per variable
     (parameter / fresh allocation / NULL / global / other), a per-parameter
     effect record, and the null-guard facts learned from conditions.
     Loops contribute their body effects as may-effects (the zero-or-one
@@ -513,33 +513,46 @@ and apply_slot ctx st (gs : Sema.funsig) (gsum : t option) (j : int)
         st
 
 (* ------------------------------------------------------------------ *)
-(* Instructions                                                        *)
+(* Statements                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let rec walk_block ctx (proc : Ir.proc) (sts : pstate list) (b : Ir.block) :
-    flow list =
-  walk_instrs ctx proc sts []
-    (Array.to_list (Ir.block_instrs proc b))
-
-and walk_instrs ctx proc (live : pstate list) (acc : flow list)
-    (instrs : Ir.instr list) : flow list =
-  match instrs with
+(* A statement list is walked one step at a time: every live path
+   advances over the step, the paths that fall through are capped, and
+   the other flows accumulate.  [Sskip] is no step, [case]/[default]/
+   label wrappers are transparent, and a [for] initializer is a step of
+   its own in the enclosing list, before the loop. *)
+let rec walk_stmts ctx (live : pstate list) (acc : flow list)
+    (stmts : Ast.stmt list) : flow list =
+  match stmts with
   | [] -> List.map (fun s -> Fnext s) live @ acc
-  | i :: rest ->
-      let flows = List.concat_map (fun s -> walk_instr ctx proc s i) live in
-      let nexts, others =
-        List.partition_map
-          (function Fnext s -> Either.Left s | f -> Either.Right f)
-          flows
-      in
-      walk_instrs ctx proc (cap nexts) (others @ acc) rest
+  | s :: rest -> (
+      match s.Ast.s with
+      | Ast.Sskip -> walk_stmts ctx live acc rest
+      | Ast.Scase (_, s') | Ast.Sdefault s' | Ast.Slabel (_, s') ->
+          walk_stmts ctx live acc (s' :: rest)
+      | Ast.Sfor (Some init, c, step, body) ->
+          walk_stmts ctx live acc
+            (init :: { s with Ast.s = Ast.Sfor (None, c, step, body) } :: rest)
+      | _ ->
+          let flows = List.concat_map (fun st -> walk_stmt ctx st s) live in
+          let nexts, others =
+            List.partition_map
+              (function Fnext s -> Either.Left s | f -> Either.Right f)
+              flows
+          in
+          walk_stmts ctx (cap nexts) (others @ acc) rest)
 
-and walk_instr ctx proc (st : pstate) (i : Ir.instr) : flow list =
+(** The flows out of a statement list (a block, branch, loop body or
+    switch arm) entered on one path. *)
+and walk_sub ctx (st : pstate) (stmts : Ast.stmt list) : flow list =
+  walk_stmts ctx [ st ] [] stmts
+
+and walk_stmt ctx (st : pstate) (s : Ast.stmt) : flow list =
   let nexts conts = List.map (fun (st, _) -> Fnext st) conts in
-  match i with
-  | Ir.Iexpr (e, _) -> nexts (eval ctx st e)
-  | Ir.Iassert e -> nexts (eval ctx st e)
-  | Ir.Idecl (ds, _) ->
+  match s.Ast.s with
+  | Ast.Sexpr e -> nexts (eval ctx st e)
+  | Ast.Sassert e -> nexts (eval ctx st e)
+  | Ast.Sdecl ds ->
       let conts =
         List.fold_left
           (fun conts (d : Ast.decl) ->
@@ -573,26 +586,27 @@ and walk_instr ctx proc (st : pstate) (i : Ir.instr) : flow list =
           [ (st, Aother) ] ds
       in
       nexts conts
-  | Ir.Iscope (b, _) -> walk_block ctx proc [ st ] b
-  | Ir.Iif (c, bt, bfo, _) ->
+  | Ast.Sblock stmts -> walk_sub ctx st stmts
+  | Ast.Sif (c, then_, else_) ->
       List.concat_map
         (fun (st, _) ->
-          let taken = walk_block ctx proc [ refine ctx st c true ] bt in
+          let taken = walk_sub ctx (refine ctx st c true) [ then_ ] in
           let not_taken =
-            match bfo with
-            | Some bf -> walk_block ctx proc [ refine ctx st c false ] bf
+            match else_ with
+            | Some e -> walk_sub ctx (refine ctx st c false) [ e ]
             | None -> [ Fnext (refine ctx st c false) ]
           in
           taken @ not_taken)
         (eval ctx st c)
-  | Ir.Iwhile (c, b, _) ->
+  | Ast.Swhile (c, b) ->
       List.concat_map
         (fun (st, _) ->
           let skip = Fnext (refine ctx st c false) in
-          let body = walk_block ctx proc [ refine ctx st c true ] b in
+          let body = walk_sub ctx (refine ctx st c true) [ b ] in
           skip :: List.map (demote_loop_flow st) body)
         (eval ctx st c)
-  | Ir.Ifor (copt, sopt, b, _) ->
+  | Ast.Sfor (_, copt, sopt, b) ->
+      (* the initializer was walked in the enclosing list *)
       let conts =
         match copt with Some c -> eval ctx st c | None -> [ (st, Aother) ]
       in
@@ -606,7 +620,7 @@ and walk_instr ctx proc (st : pstate) (i : Ir.instr) : flow list =
           let entry =
             match copt with Some c -> refine ctx st c true | None -> st
           in
-          let body = walk_block ctx proc [ entry ] b in
+          let body = walk_sub ctx entry [ b ] in
           let body =
             (* the step expression runs after each iteration *)
             List.concat_map
@@ -620,8 +634,8 @@ and walk_instr ctx proc (st : pstate) (i : Ir.instr) : flow list =
           in
           skip :: List.map (demote_loop_flow st) body)
         conts
-  | Ir.Ido (b, c, _) ->
-      let body = walk_block ctx proc [ st ] b in
+  | Ast.Sdo (b, c) ->
+      let body = walk_sub ctx st [ b ] in
       List.concat_map
         (fun f ->
           match f with
@@ -630,27 +644,31 @@ and walk_instr ctx proc (st : pstate) (i : Ir.instr) : flow list =
           | Fbreak s -> [ Fnext s ]
           | f -> [ f ])
         body
-  | Ir.Iret (None, _) -> [ Fret (st, Aother) ]
-  | Ir.Iret (Some e, _) ->
+  | Ast.Sreturn None -> [ Fret (st, Aother) ]
+  | Ast.Sreturn (Some e) ->
       List.map (fun (st, v) -> Fret (st, v)) (eval ctx st e)
-  | Ir.Ibreak -> [ Fbreak st ]
-  | Ir.Icontinue -> [ Fcont st ]
-  | Ir.Iswitch (e, arms, has_default, _) ->
+  | Ast.Sbreak -> [ Fbreak st ]
+  | Ast.Scontinue -> [ Fcont st ]
+  | Ast.Sswitch (e, body) ->
+      let arms, has_default = Ast.switch_arms body in
       List.concat_map
         (fun (st, _) ->
           let arm_flows =
             List.concat_map
-              (fun b ->
+              (fun arm ->
                 List.map
                   (function Fbreak s -> Fnext s | f -> f)
-                  (walk_block ctx proc [ st ] b))
-              (Array.to_list arms)
+                  (walk_sub ctx st arm))
+              arms
           in
           if has_default then arm_flows else Fnext st :: arm_flows)
         (eval ctx st e)
-  | Ir.Igoto _ ->
+  | Ast.Sgoto _ ->
       ctx.c_goto <- true;
       [ Fnext st ]
+  | Ast.Sskip | Ast.Scase _ | Ast.Sdefault _ | Ast.Slabel _ ->
+      (* unwrapped by [walk_stmts] before they get here *)
+      walk_sub ctx st [ s ]
 
 (** Loop bodies execute zero or more times: a release first observed
     inside the body is only conditional at the loop exit, and an [out]
@@ -692,8 +710,7 @@ let summarize (prog : Sema.program) (tbl : table) (fs : Sema.funsig)
     |> fst
   in
   let st0 = { vars; facts = Array.make nparams pfact0; ges = false } in
-  let proc = Ir.lower_fundef fd in
-  let flows = walk_block ctx proc [ st0 ] proc.Ir.p_entry in
+  let flows = walk_sub ctx st0 [ fd.Cfront.Ast.f_body ] in
   if ctx.c_goto then top fs.Sema.fs_name nparams
   else begin
     (* normal outcomes: explicit returns, plus falling off the end *)

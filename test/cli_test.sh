@@ -10,6 +10,7 @@ OLCRUN="$2"
 OLDIFF="$3"
 EXAMPLES="${4:-examples}"
 DOCS="${5:-docs}"
+LIB="${6:-lib}"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
@@ -568,6 +569,21 @@ sed -n '/^## Telemetry counters/,/^## /p' "$DOCS/diagnostics.md" \
   | sed -n 's/^| `\([^`]*\)`.*/\1/p' | sort > "$tmp/counters.doc"
 diff -u "$tmp/counters.actual" "$tmp/counters.doc" > "$tmp/counters.diff" \
   || { cat "$tmp/counters.diff" >&2; fail "docs/diagnostics.md counter table drifted from --dump-counters"; }
+
+# every library directory under lib/ must be named as **`name`** in
+# docs/architecture.md, and the count word on its line 3 must match
+nlibs=0
+for d in "$LIB"/*/dune; do
+  name="$(basename "$(dirname "$d")")"
+  nlibs=$((nlibs + 1))
+  grep -qF -- "**\`$name\`**" "$DOCS/architecture.md" \
+    || fail "docs/architecture.md does not name library $name"
+done
+count_words=(zero one two three four five six seven eight nine ten eleven
+  twelve thirteen fourteen fifteen sixteen seventeen eighteen nineteen twenty)
+[ "$nlibs" -gt 0 ] || fail "no library directories found under $LIB"
+sed -n 3p "$DOCS/architecture.md" | grep -qF -- "${count_words[$nlibs]:-$nlibs} libraries" \
+  || fail "docs/architecture.md line 3 should say ${count_words[$nlibs]:-$nlibs} libraries"
 
 # the --dump-summaries render vocabulary must match the docs/summaries.md
 # token table exactly (same gate shape as the flag/counter tables)

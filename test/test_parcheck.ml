@@ -148,6 +148,33 @@ let test_task_granularity () =
   Alcotest.(check bool) "per-procedure tasks" true
     (Parcheck.task_count p > List.length files)
 
+let test_mutates_env () =
+  (* the environment-mutation classifier: a file holding a procedure
+     whose checking can write into the shared program is one task; any
+     other file fans out, one task per procedure *)
+  let tasks body =
+    let prog = Stdspec.environment () in
+    let src = body ^ "\nvoid other(int x) { int y; y = x; }\n" in
+    let tu = Cfront.Parser.parse_string ~typedefs:[] ~file:"mut.c" src in
+    ignore (Sema.analyze ~flags:Annot.Flags.default ~into:prog tu);
+    Parcheck.task_count prog
+  in
+  List.iter
+    (fun (what, body, want) ->
+      Alcotest.(check int) what want (tasks body))
+    [
+      ("plain body", "void f(int x) { int y; y = x; }", 2);
+      ("block-scope typedef", "void f(void) { typedef int local_t; }", 1);
+      ("block-scope extern", "void f(void) { extern int g; }", 1);
+      ( "inline field list",
+        "void f(void) { struct s { int a; } v; v.a = 0; }",
+        1 );
+      ("enum item list", "void f(void) { enum e { A, B } v; v = A; }", 1);
+      ( "named tag reference only",
+        "struct s { int a; };\nvoid f(struct s v) { v.a = 0; }",
+        2 );
+    ]
+
 let test_pool_and_counters () =
   (* warm-pool reuse is observable, and parallel telemetry stays exact:
      every worker's ticks are merged back, none lost, none doubled.
@@ -222,4 +249,5 @@ let () =
           Alcotest.test_case "exact counters end to end" `Quick
             test_check_program_counters;
         ] );
+      ("mutation", [ Alcotest.test_case "mutates_env" `Quick test_mutates_env ]);
     ]

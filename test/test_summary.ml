@@ -129,6 +129,138 @@ let test_recursion_fixpoint () =
     (Hashtbl.mem tbl "ping" && Hashtbl.mem tbl "pong")
 
 (* ------------------------------------------------------------------ *)
+(* Control flow                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Rendered summaries of every function in [src], one line each, in
+   name order (the --dump-summaries form). *)
+let rendered_all src =
+  let tbl = summaries src in
+  Hashtbl.fold (fun _ sm acc -> Summary.render sm :: acc) tbl []
+  |> List.sort compare |> String.concat "\n"
+
+let test_switch_shapes () =
+  (* block arms under case labels, stacked labels, no default (the
+     scrutinee-miss path survives), a non-block body, a [for]
+     initializer and a label inside an arm.  Arms are segmented at
+     top-level labels only: [sw_both]'s top-level [default] removes the
+     miss path, but a [default] stacked under a [case] does not count,
+     so [sw_default]'s miss path survives *)
+  Alcotest.(check string) "switch summaries"
+    "arm_for: params=[cond,-] ret=-\n\
+     sw_block: params=[cond,cond,-] ret=-\n\
+     sw_both: params=[rel,-] ret=-\n\
+     sw_default: params=[cond,-] ret=-\n\
+     sw_fall: params=[cond,-] ret=-\n\
+     sw_plain: params=[cond,-] ret=-"
+    (rendered_all
+       "void sw_block(char *a, char *b, int k) {\n\
+       \  switch (k) {\n\
+       \  case 0: { free(a); break; }\n\
+       \  case 1:\n\
+       \  case 2: { free(a); free(b); break; }\n\
+       \  }\n\
+        }\n\
+        void sw_default(char *a, int k) {\n\
+       \  switch (k) {\n\
+       \  case 0: free(a); break;\n\
+       \  case 3: default: free(a);\n\
+       \  }\n\
+        }\n\
+        void sw_both(char *a, int k) {\n\
+       \  switch (k) { case 0: free(a); break; default: free(a); }\n\
+        }\n\
+        void sw_plain(char *a, int k) { switch (k) free(a); }\n\
+        void sw_fall(char *a, int k) {\n\
+       \  switch (k) { case 0: case 1: free(a); case 2: return; }\n\
+        }\n\
+        void arm_for(char *a, int k) {\n\
+       \  int i;\n\
+       \  switch (k) {\n\
+       \  case 1: for (i = 0; i < k; i++) { ; free(a); }\n\
+       \    break;\n\
+       \  case 2: lbl: ;\n\
+       \  }\n\
+        }\n")
+
+let test_loop_shapes () =
+  (* [for] with [continue] (the step still runs: [for_step] releases
+     only through it), with an initializer that binds the released
+     pointer and with a declaring one; [do]/[while] with [break] (the
+     body runs at least once, and a break skips the condition, which
+     releases in [do_cond]); a [while] whose body returns *)
+  Alcotest.(check string) "loop summaries"
+    "do_brk: params=[cond,rel,-] ret=-\n\
+     do_cond: params=[cond,-] ret=-\n\
+     do_ret: params=[rel] ret=-\n\
+     for_cont: params=[cond,rel,-] ret=-\n\
+     for_decl: params=[cond,-] ret=-\n\
+     for_init: params=[rel,-] ret=-\n\
+     for_step: params=[cond,-] ret=-\n\
+     while_brk: params=[-,-] ret=- retnull"
+    (rendered_all
+       "void for_cont(char *a, char *b, int n) {\n\
+       \  int i;\n\
+       \  for (i = 0; i < n; i++) { if (i == 2) continue; free(a); }\n\
+       \  free(b);\n\
+        }\n\
+        void for_decl(char *a, int n) {\n\
+       \  for (int i = 0; i < n; i = i + 1) {\n\
+       \    if (i) { continue; }\n\
+       \    free(a);\n\
+       \    return;\n\
+       \  }\n\
+        }\n\
+        void for_init(char *a, int n) {\n\
+       \  char *p;\n\
+       \  for (p = a; n > 0; n--) { }\n\
+       \  free(p);\n\
+        }\n\
+        void for_step(char *a, int n) {\n\
+       \  int i;\n\
+       \  for (i = 0; i < n; free(a)) { if (i) continue; return; }\n\
+        }\n\
+        void do_brk(char *a, char *b, int n) {\n\
+       \  do { if (n) break; free(a); } while (n);\n\
+       \  free(b);\n\
+        }\n\
+        void do_cond(char *a, int n) {\n\
+       \  do { if (n) break; n--; } while (free(a), n);\n\
+        }\n\
+        void do_ret(char *a) { do { free(a); } while (0); }\n\
+        char *while_brk(char *a, int n) {\n\
+       \  while (n) { if (n == 1) break; return a; }\n\
+       \  return NULL;\n\
+        }\n")
+
+let test_goto_is_top () =
+  Alcotest.(check string) "goto summary" "jump: params=[top] ret=top"
+    (rendered_all
+       "void jump(char *a) { free(a); goto out; out: return; }\n")
+
+let test_path_cap () =
+  (* the release of [a] is paired with a NULL return on exactly the
+     releasing paths (the wrapper-allocator idiom, [relnull]); five
+     more two-way branches keep the population at 64 paths, six push it
+     to 128, past [max_paths], and the merged overflow path loses the
+     pairing *)
+  let src ifs =
+    "char *f(char *a, char *b, int k) {\n\
+    \  char *r = b;\n\
+    \  if (k & 1) { free(a); r = NULL; }\n"
+    ^ String.concat ""
+        (List.init ifs (fun i ->
+             Printf.sprintf "  if (k & %d) k++;\n" (2 lsl i)))
+    ^ "  return r;\n}\n"
+  in
+  Alcotest.(check string) "64 paths: exact"
+    "f: params=[relnull,-,-] ret=- retnull"
+    (rendered_all (src 5));
+  Alcotest.(check string) "128 paths: capped"
+    "f: params=[cond,-,-] ret=- retnull"
+    (rendered_all (src 6))
+
+(* ------------------------------------------------------------------ *)
 (* Render, vocabulary, hash                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -233,6 +365,13 @@ let () =
             test_unknown_callee_is_top;
           Alcotest.test_case "recursion fixpoint" `Quick
             test_recursion_fixpoint;
+        ] );
+      ( "control flow",
+        [
+          Alcotest.test_case "switch shapes" `Quick test_switch_shapes;
+          Alcotest.test_case "loop shapes" `Quick test_loop_shapes;
+          Alcotest.test_case "goto is top" `Quick test_goto_is_top;
+          Alcotest.test_case "path cap" `Quick test_path_cap;
         ] );
       ( "render",
         [
