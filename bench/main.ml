@@ -825,12 +825,11 @@ let scale () =
         Progen.generate ~seed:!seed_flag ~modules ~fns_per_module:fns ()
       in
       (* one analysed program shared by every job count:
-         [check_program] never mutates it (environment-mutating files
-         check against a private {!Sema.copy_for_check}), so every
-         configuration traverses identical memory and the timings
-         differ only by job count *)
+         [check_program] only reads it, so every configuration
+         traverses identical memory and the timings differ only by job
+         count *)
       let prog = Progen.analyse p in
-      let tasks = Parcheck.task_count prog in
+      let tasks = List.length (Sema.fundefs prog) in
       (* one warm-up pass per job count (parks the pool domains);
          counters are read from it so they describe exactly one full
          check *)

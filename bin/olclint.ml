@@ -195,8 +195,9 @@ let run files flag_args load_libs lcl_specs dump_lib no_stdlib quiet stats
       0
   | _ ->
   (* [-j 0] means "one domain per recommended core".  Checking always
-     goes through the parallel driver — [jobs = 1] is the same per-file
-     code on this domain — so output is identical for every [-j]. *)
+     goes through the parallel driver — [jobs = 1] is the same
+     per-procedure code on this domain — so output is identical for
+     every [-j]. *)
   let jobs = if jobs <= 0 then Parcheck.default_jobs () else jobs in
   let check_diags = Parcheck.check_program ~jobs prog in
   let table, errs = Check.Suppress.of_pragmas prog.Sema.p_pragmas in

@@ -99,6 +99,7 @@ type realloc_source = {
 
 type env = {
   prog : Sema.program;
+      (** the procedure's scope ({!Sema.enter_scope}) over the program *)
   flags : Flags.t;
   fs : Sema.funsig;
   diags : Diag.Collector.t;
@@ -177,7 +178,7 @@ let rec type_of_ref env (r : Sref.t) : Ctype.t option =
       List.nth_opt env.fs.fs_params i
       |> Option.map (fun p -> p.Sema.pr_ty)
   | Sref.Root (Sref.Rglobal g) ->
-      Hashtbl.find_opt env.prog.Sema.p_globals g
+      Sema.find_global env.prog g
       |> Option.map (fun gv -> gv.Sema.gv_ty)
   | Sref.Root Sref.Rret -> Some env.fs.fs_ret
   | Sref.Root (Sref.Rfresh _) -> None
@@ -214,7 +215,7 @@ let annots_of_ref env (r : Sref.t) : Annot.set =
       | Some p -> p.Sema.pr_annots.Sema.an
       | None -> Annot.empty)
   | Sref.Root (Sref.Rglobal g) -> (
-      match Hashtbl.find_opt env.prog.Sema.p_globals g with
+      match Sema.find_global env.prog g with
       | Some gv -> gv.Sema.gv_annots.Sema.an
       | None -> Annot.empty)
   | Sref.Root Sref.Rret -> env.fs.fs_ret_annots.Sema.an
@@ -389,7 +390,7 @@ let ident_ref env (name : string) : (Sref.t * Ctype.t) option =
   match find_local env name with
   | Some i -> Some (Sref.root (Sref.Rlocal name), i.li_ty)
   | None -> (
-      match Hashtbl.find_opt env.prog.Sema.p_globals name with
+      match Sema.find_global env.prog name with
       | Some gv -> Some (Sref.root (Sref.Rglobal name), gv.Sema.gv_ty)
       | None -> None)
 
@@ -399,7 +400,7 @@ let touch_global env st (name : string) : Store.t =
   let r = Sref.root (Sref.Rglobal name) in
   if Store.mem st r then st
   else
-    match Hashtbl.find_opt env.prog.Sema.p_globals name with
+    match Sema.find_global env.prog name with
     | Some gv ->
         let annots = gv.Sema.gv_annots.Sema.an in
         let annots =
@@ -605,10 +606,10 @@ let rec eval env st (e : Ast.expr) : Store.t * value =
           let st = check_rvalue_use env st r ~loc in
           (st, value_of_state ty r (Store.get st r))
       | None -> (
-          match Hashtbl.find_opt env.prog.Sema.p_enum_consts name with
+          match Sema.find_enum_const env.prog name with
           | Some _ -> (st, unit_value Ctype.int_)
           | None -> (
-              match Hashtbl.find_opt env.prog.Sema.p_funcs name with
+              match Sema.find_func env.prog name with
               | Some fs ->
                   (* function designator *)
                   let ty =
@@ -1114,7 +1115,7 @@ and split_cond env st (e : Ast.expr) : Store.t * Store.t =
       (* truenull: returns true iff argument is null;
          falsenull: returns true only if the argument is not null *)
       let truenull =
-        match Hashtbl.find_opt env.prog.Sema.p_funcs fname with
+        match Sema.find_func env.prog fname with
         | Some fs -> fs.Sema.fs_ret_annots.Sema.an.Annot.an_truenull
         | None -> false
       in
@@ -1159,7 +1160,7 @@ and null_test env st (e : Ast.expr) ~eq ~loc : Store.t * Store.t =
   | _ -> (st, st)
 
 and is_nulltest_fn env fname =
-  match Hashtbl.find_opt env.prog.Sema.p_funcs fname with
+  match Sema.find_func env.prog fname with
   | Some fs ->
       fs.Sema.fs_ret_annots.Sema.an.Annot.an_truenull
       || fs.Sema.fs_ret_annots.Sema.an.Annot.an_falsenull
@@ -1649,13 +1650,15 @@ and null_derivable env st (r : Sref.t) : (Sref.t * Store.refstate) list =
 
 and eval_call env st (fexpr : Ast.expr) (args : Ast.expr list) ~loc :
     Store.t * value =
-  match fexpr.e with
-  | Ast.Eident name
-    when find_local env name = None
-         && Hashtbl.mem env.prog.Sema.p_funcs name ->
-      let fs = Hashtbl.find env.prog.Sema.p_funcs name in
-      call_known env st fs args ~loc
-  | _ ->
+  let callee =
+    match fexpr.e with
+    | Ast.Eident name when find_local env name = None ->
+        Sema.find_func env.prog name
+    | _ -> None
+  in
+  match callee with
+  | Some fs -> call_known env st fs args ~loc
+  | None ->
       (* unknown callee / function pointer: evaluate everything, assume a
          defined, unmanaged result *)
       let st, _ = eval env st fexpr in
@@ -2228,7 +2231,7 @@ and directly_alias st (v : value) (w : value) =
 and check_call_globals env st (fs : Sema.funsig) ~loc : Store.t =
   List.fold_left
     (fun st (gname, (ga : Annot.set)) ->
-      match Hashtbl.find_opt env.prog.Sema.p_globals gname with
+      match Sema.find_global env.prog gname with
       | None -> st
       | Some gv ->
           let st = touch_global env st gname in
@@ -2634,7 +2637,7 @@ let check_exit env st ~(ret : value option) ~loc : Store.t =
       (fun r (s : Store.refstate) st ->
         match Sref.view r with
         | Sref.Root (Sref.Rglobal g) -> (
-            match Hashtbl.find_opt env.prog.Sema.p_globals g with
+            match Sema.find_global env.prog g with
             | None -> st
             | Some gv ->
                 let declared = gv.Sema.gv_annots.Sema.an in
@@ -2755,17 +2758,20 @@ let loop_depth_cap = 3
 (** A silenced copy of the environment for exploratory fixpoint
     iterations: diagnostics go to a scratch collector, exit observation
     is off (a silenced iteration must not feed inference summaries), and
-    the scope chain is copied so declarations seen while re-running the
-    body cannot pollute the real environment.  The mutable counters
+    the local-variable scopes are copied and a scratch procedure scope
+    entered, so declarations seen while re-running the body neither
+    emit nor persist past the round.  The mutable counters
     start from the real environment's current values and advance
     independently — each iteration gets a fresh copy, so fresh-storage
     and static ids restart identically every round (an allocation in
     the body maps to the same [Rfresh] root each time; otherwise the
     store would grow a new root per iteration and never converge). *)
 let silent_env env =
+  let diags = Diag.Collector.create () in
   {
     env with
-    diags = Diag.Collector.create ();
+    prog = Sema.enter_scope env.prog ~diags;
+    diags;
     exit_obs = None;
     scopes = List.map (fun s -> { vars = s.vars }) env.scopes;
     conflict_memo = Hashtbl.create 16;
@@ -3102,7 +3108,10 @@ let funsig_inferred (fs : Sema.funsig) : bool =
        (fun (p : Sema.param) -> Annot.is_inferred p.Sema.pr_annots.Sema.an)
        fs.Sema.fs_params
 
-(** Check one function definition against its interface.
+(** Check one function definition against its interface.  [prog] is
+    only read: block-scope declarations go to a scope private to this
+    call, so the result depends on nothing but the program and the
+    procedure.
 
     [diags] redirects the procedure's messages away from the program's
     collector (annotation inference probes candidate annotations into a
@@ -3123,12 +3132,13 @@ let check_fundef ?diags ?exit_obs ?summaries (prog : Sema.program)
            | None -> false)
          (Sema.calls_of_fundef f)
   in
+  let diags = Option.value diags ~default:prog.Sema.diags in
   let env =
     {
-      prog;
+      prog = Sema.enter_scope prog ~diags;
       flags = prog.Sema.flags;
       fs;
-      diags = Option.value diags ~default:prog.Sema.diags;
+      diags;
       exit_obs;
       proc_inferred;
       scopes = [];

@@ -31,9 +31,9 @@
       re-checks exactly the edited function and the functions that call
       it.
 
-    Checking always runs against {!Sema.copy_for_check} copies on the
-    {!Parcheck.map_tasks} pool, grouped by file, so results are
-    byte-identical to a cold [olclint] run at every [-j]. *)
+    Each re-checked function is one {!Parcheck.map_tasks} task against
+    the persistent environment, which checking only reads, so results
+    are byte-identical to a cold [olclint] run at every [-j]. *)
 
 module Ast = Cfront.Ast
 module Diag = Cfront.Diag
@@ -373,7 +373,7 @@ let make_entry t (fs : Sema.funsig) (fd : Ast.fundef) diags =
 
 (* Validate every function of the environment against the cache; adopt
    persisted results by content key; re-check the rest on the checking
-   pool, grouped by file exactly like the cold driver.  Returns
+   pool, one task per function like the cold driver.  Returns
    (hits, misses, rechecked). *)
 let revalidate_and_check t ~jobs (env : Sema.program) =
   (* [+xproc]: refresh the effect-summary table first — validation below
@@ -442,47 +442,20 @@ let revalidate_and_check t ~jobs (env : Sema.program) =
           | None -> Some m)
         miss_list
   in
-  (* group by file, preserving definition order, like [Parcheck] *)
-  let tbl = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun (id, fs, fd) ->
-      let file = fst id in
-      match Hashtbl.find_opt tbl file with
-      | Some cell -> cell := (id, fs, fd) :: !cell
-      | None ->
-          Hashtbl.add tbl file (ref [ (id, fs, fd) ]);
-          order := file :: !order)
-    to_check;
-  let garr =
-    Array.of_list
-      (List.rev_map (fun file -> List.rev !(Hashtbl.find tbl file)) !order)
-  in
+  let arr = Array.of_list to_check in
   let results =
-    Parcheck.map_tasks ~jobs (Array.length garr) (fun ~par:_ i ->
-        (* always check against a copy: the persistent environment must
-           stay pristine across requests (checking can register
-           block-scope declarations), and per-task copies are exactly
-           the cold driver's [-j] mode, which is byte-identical to
-           in-place checking *)
-        let local = Sema.copy_for_check env in
-        List.map
-          (fun (_, fs, fd) ->
-            let coll = Diag.Collector.create () in
-            Check.Checker.check_fundef ~diags:coll ?summaries local fs fd;
-            Diag.Collector.all coll)
-          garr.(i))
+    Parcheck.map_tasks ~jobs (Array.length arr) (fun i ->
+        let _, fs, fd = arr.(i) in
+        let coll = Diag.Collector.create () in
+        Check.Checker.check_fundef ~diags:coll ?summaries env fs fd;
+        Diag.Collector.all coll)
   in
-  let rechecked = ref 0 in
   Array.iteri
-    (fun i diag_lists ->
-      List.iter2
-        (fun (id, fs, fd) diags ->
-          incr rechecked;
-          Hashtbl.replace t.fns id (make_entry t fs fd diags))
-        garr.(i) diag_lists)
+    (fun i diags ->
+      let id, fs, fd = arr.(i) in
+      Hashtbl.replace t.fns id (make_entry t fs fd diags))
     results;
-  (!hits, !misses, !rechecked)
+  (!hits, !misses, Array.length arr)
 
 (* Assemble the request's diagnostics exactly like the cold CLI:
    frontend/sema messages, suppression-table errors, then the cached

@@ -18,11 +18,10 @@
       function, and a funsig change re-checks the function plus its
       annotation-dependent callers, and nothing else.
 
-    Checking runs on the {!Parcheck.map_tasks} domain pool (misses are
-    grouped by file, each group checks against its own
-    {!Sema.copy_for_check}), so re-check diagnostics are byte-identical
-    for every [jobs] value — and, by construction of the cache, to a
-    cold run.
+    Checking runs on the {!Parcheck.map_tasks} domain pool, one task
+    per miss against the shared environment (checking only reads it),
+    so re-check diagnostics are byte-identical for every [jobs] value —
+    and, by construction of the cache, to a cold run.
 
     Persistence: {!save}/{!load} write and read the summary cache as a
     versioned, hash-stamped artifact (the {!Check.Libspec} framing); a

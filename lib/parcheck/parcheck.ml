@@ -1,14 +1,9 @@
 (** Parallel checking driver (see parcheck.mli for the contract).
 
-    The unit of work is one {e procedure}: checking a procedure whose
-    body cannot mutate the shared program environment ([mutates_env])
-    reads the post-sema program strictly read-only, so those tasks run
-    against the original program shared across domains — no
-    {!Sema.copy_for_check} per task.  The few procedures that {e can}
-    mutate the environment (block-scope [typedef]/[extern], inline
-    tag-registering types) keep the old granularity: their whole file is
-    one task checked against a private copy, at every [jobs] value, so
-    within-file symbol visibility matches the previous driver exactly.
+    The unit of work is one {e procedure}.  Checking a procedure only
+    reads the post-sema program (block-scope declarations go to a
+    procedure-private {!Sema.enter_scope}), so every task runs against
+    the one program shared across domains.
 
     Scheduling is work-stealing: every task has an [Atomic] claim flag,
     each worker owns a contiguous range of the task array and drains it
@@ -152,8 +147,8 @@ end
 (* Work-stealing map                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let map_tasks ?(oversubscribe = false) ~jobs (n : int)
-    (f : par:bool -> int -> 'a) : 'a array =
+let map_tasks ?(oversubscribe = false) ~jobs (n : int) (f : int -> 'a) :
+    'a array =
   if n = 0 then [||]
   else begin
     let jobs = max 1 (min jobs n) in
@@ -169,7 +164,7 @@ let map_tasks ?(oversubscribe = false) ~jobs (n : int)
       if oversubscribe then jobs
       else max 1 (min jobs (Domain.recommended_domain_count ()))
     in
-    if workers <= 1 then Array.init n (fun i -> f ~par:false i)
+    if workers <= 1 then Array.init n f
     else begin
       let results = Array.make n None in
       let claimed = Array.init n (fun _ -> Atomic.make false) in
@@ -180,14 +175,14 @@ let map_tasks ?(oversubscribe = false) ~jobs (n : int)
       let run_range w =
         for i = lo w to hi w - 1 do
           if Atomic.compare_and_set claimed.(i) false true then
-            results.(i) <- Some (f ~par:true i)
+            results.(i) <- Some (f i)
         done;
         for d = 1 to workers - 1 do
           let v = (w + d) mod workers in
           for i = hi v - 1 downto lo v do
             if Atomic.compare_and_set claimed.(i) false true then begin
               Telemetry.Counter.tick Telemetry.c_tasks_stolen;
-              results.(i) <- Some (f ~par:true i)
+              results.(i) <- Some (f i)
             end
           done
         done
@@ -233,139 +228,8 @@ let map_tasks ?(oversubscribe = false) ~jobs (n : int)
 (* Program checking                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Group (funsig, fundef) pairs by defining file, preserving the source
-   order of files and of procedures within a file. *)
-let tasks_of_program (prog : Sema.program) :
-    (string * (Sema.funsig * Cfront.Ast.fundef) list) array =
-  let tbl : (string, (Sema.funsig * Cfront.Ast.fundef) list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let order = ref [] in
-  List.iter
-    (fun ((fs : Sema.funsig), _ as pair) ->
-      let file = fs.Sema.fs_loc.Cfront.Loc.file in
-      match Hashtbl.find_opt tbl file with
-      | Some cell -> cell := pair :: !cell
-      | None ->
-          Hashtbl.add tbl file (ref [ pair ]);
-          order := file :: !order)
-    (Sema.fundefs prog);
-  Array.of_list
-    (List.rev_map
-       (fun file -> (file, List.rev !(Hashtbl.find tbl file)))
-       !order)
-
-(* ------------------------------------------------------------------ *)
-(* Environment-mutation scan                                           *)
-(* ------------------------------------------------------------------ *)
-
-module Ast = Cfront.Ast
-
-(* Can checking this body mutate the shared program environment?  The
-   checker resolves block-scope declaration types and cast/sizeof types
-   with [Sema.resolve_ty], whose mutating paths are an inline
-   struct/union field list or enum item list (registers the definition)
-   and an anonymous tag (mints a fresh one).  Block-scope typedef/extern
-   declarations additionally reach [Sema.process_decl].  Everything else
-   the checker does against the program is a read. *)
-
-let rec ty_mutates (t : Ast.ty) : bool =
-  match t with
-  | Ast.Tbase b -> base_mutates b
-  | Ast.Tptr t -> ty_mutates t
-  | Ast.Tarray (t, size) ->
-      ty_mutates t || (match size with Some e -> expr_mutates e | None -> false)
-  | Ast.Tfunc ft ->
-      ty_mutates ft.Ast.ft_ret
-      || List.exists (fun (p : Ast.param) -> ty_mutates p.Ast.p_ty)
-           ft.Ast.ft_params
-
-and base_mutates (b : Ast.base_type) : bool =
-  match b with
-  | Ast.Tstruct (tag, fields) | Ast.Tunion (tag, fields) ->
-      tag = None || fields <> None
-  | Ast.Tenum (tag, items) -> tag = None || items <> None
-  | _ -> false
-
-and expr_mutates (e : Ast.expr) : bool =
-  match e.Ast.e with
-  | Ast.Eint _ | Ast.Echar _ | Ast.Estring _ | Ast.Efloat _ | Ast.Eident _ ->
-      false
-  | Ast.Ecall (f, args) -> expr_mutates f || List.exists expr_mutates args
-  | Ast.Emember (b, _)
-  | Ast.Earrow (b, _)
-  | Ast.Ederef b
-  | Ast.Eaddr b
-  | Ast.Eunary (_, b)
-  | Ast.Epostincr b
-  | Ast.Epostdecr b
-  | Ast.Epreincr b
-  | Ast.Epredecr b
-  | Ast.Esizeof_expr b ->
-      expr_mutates b
-  | Ast.Ecast (t, b) -> ty_mutates t || expr_mutates b
-  | Ast.Esizeof_type t -> ty_mutates t
-  | Ast.Eindex (a, b)
-  | Ast.Ebinary (_, a, b)
-  | Ast.Eassign (_, a, b)
-  | Ast.Ecomma (a, b) ->
-      expr_mutates a || expr_mutates b
-  | Ast.Econd (a, b, c) -> expr_mutates a || expr_mutates b || expr_mutates c
-
-let rec init_mutates = function
-  | Ast.Iexpr e -> expr_mutates e
-  | Ast.Ilist is -> List.exists init_mutates is
-
-let decl_mutates (d : Ast.decl) : bool =
-  d.Ast.d_storage = Ast.Stypedef
-  || d.Ast.d_storage = Ast.Sextern
-  || ty_mutates d.Ast.d_ty
-  || match d.Ast.d_init with Some i -> init_mutates i | None -> false
-
-let rec stmt_mutates (s : Ast.stmt) : bool =
-  match s.Ast.s with
-  | Ast.Sskip | Ast.Sbreak | Ast.Scontinue | Ast.Sgoto _ -> false
-  | Ast.Sexpr e | Ast.Sassert e | Ast.Sreturn (Some e) -> expr_mutates e
-  | Ast.Sreturn None -> false
-  | Ast.Sdecl ds -> List.exists decl_mutates ds
-  | Ast.Sblock ss -> List.exists stmt_mutates ss
-  | Ast.Sif (c, t, f) ->
-      expr_mutates c || stmt_mutates t
-      || (match f with Some f -> stmt_mutates f | None -> false)
-  | Ast.Swhile (c, b) | Ast.Sdo (b, c) | Ast.Sswitch (c, b) | Ast.Scase (c, b)
-    ->
-      expr_mutates c || stmt_mutates b
-  | Ast.Sfor (i, c, st, b) ->
-      (match i with Some s -> stmt_mutates s | None -> false)
-      || (match c with Some e -> expr_mutates e | None -> false)
-      || (match st with Some e -> expr_mutates e | None -> false)
-      || stmt_mutates b
-  | Ast.Sdefault b | Ast.Slabel (_, b) -> stmt_mutates b
-
-let mutates_env (f : Ast.fundef) : bool = stmt_mutates f.Ast.f_body
-
-type check_task =
-  | Proc of Sema.funsig * Cfront.Ast.fundef
-      (** shares the program read-only across domains *)
-  | File of (Sema.funsig * Cfront.Ast.fundef) list
-      (** checked in order against a private {!Sema.copy_for_check} *)
-
-(* A file whose procedures can mutate the environment stays one task
-   (private copy, old granularity and old within-file visibility);
-   everything else fans out per procedure.  The rule depends only on the
-   input program — never on [jobs] — so every [-j] value schedules the
-   same task list. *)
-let check_tasks (prog : Sema.program) : check_task array =
-  tasks_of_program prog |> Array.to_list
-  |> List.concat_map (fun (_file, fds) ->
-         if List.exists (fun (_, f) -> mutates_env f) fds then [ File fds ]
-         else List.map (fun (fs, f) -> Proc (fs, f)) fds)
-  |> Array.of_list
-
-let task_count (prog : Sema.program) : int = Array.length (check_tasks prog)
-
 let check_program ?(jobs = 1) (prog : Sema.program) : Diag.t list =
-  let tasks = check_tasks prog in
+  let fundefs = Array.of_list (Sema.fundefs prog) in
   (* [+xproc]: derive the effect-summary table bottom-up over the call
      graph BEFORE fanning out — the SCC fixpoint is inherently
      sequential (callees before callers), and precomputing it leaves the
@@ -376,21 +240,10 @@ let check_program ?(jobs = 1) (prog : Sema.program) : Diag.t list =
     if prog.Sema.flags.Flags.xproc then Some (Summary.of_program prog)
     else None
   in
-  let run_task ~par:_ i =
+  let check i =
+    let fs, f = fundefs.(i) in
     let coll = Diag.Collector.create () in
-    (match tasks.(i) with
-    | Proc (fs, f) ->
-        Check.Checker.check_fundef ~diags:coll ?summaries prog fs f
-    | File fds ->
-        (* the copy guards the shared tables against this task's own
-           mutations (concurrent or not: [-j 1] takes the same path so
-           diagnostics cannot depend on the job count) *)
-        let local = Sema.copy_for_check prog in
-        List.iter
-          (fun (fs, f) ->
-            Check.Checker.check_fundef ~diags:coll ?summaries local fs f)
-          fds);
+    Check.Checker.check_fundef ~diags:coll ?summaries prog fs f;
     Diag.Collector.all coll
   in
-  let results = map_tasks ~jobs (Array.length tasks) run_task in
-  List.concat (Array.to_list results)
+  List.concat (Array.to_list (map_tasks ~jobs (Array.length fundefs) check))

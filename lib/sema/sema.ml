@@ -79,11 +79,13 @@ type globalvar = {
 
 type program = {
   p_file : string;
-  p_structs : (string, suinfo) Hashtbl.t;
-  p_typedefs : (string, Ctype.t * Annot.set) Hashtbl.t;
-  p_enum_consts : (string, int64) Hashtbl.t;
-  p_funcs : (string, funsig) Hashtbl.t;
-  p_globals : (string, globalvar) Hashtbl.t;
+  mutable p_structs : (string, suinfo) Hashtbl.t;
+  mutable p_typedefs : (string, Ctype.t * Annot.set) Hashtbl.t;
+  mutable p_enum_consts : (string, int64) Hashtbl.t;
+  mutable p_funcs : (string, funsig) Hashtbl.t;
+  mutable p_globals : (string, globalvar) Hashtbl.t;
+  p_outer : program option;
+      (** the enclosing program of a procedure scope ({!enter_scope}) *)
   mutable p_fundefs_rev : (funsig * Ast.fundef) list;
       (** reversed; use {!fundefs} for source order *)
   mutable p_struct_order_rev : string list;
@@ -104,6 +106,7 @@ let create_program ?(flags = Flags.default) ~file () =
     p_enum_consts = Hashtbl.create 32;
     p_funcs = Hashtbl.create 64;
     p_globals = Hashtbl.create 32;
+    p_outer = None;
     p_fundefs_rev = [];
     p_struct_order_rev = [];
     p_typedef_order_rev = [];
@@ -114,6 +117,65 @@ let create_program ?(flags = Flags.default) ~file () =
     flags;
     anon_counter = 0;
   }
+
+(* ------------------------------------------------------------------ *)
+(* Procedure scopes                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(** A procedure-local scope over [p]: the block-scope declarations met
+    while checking one body land here and never in [p], so checking
+    only reads the shared program.  The scope starts out sharing each
+    of [p]'s tables and takes a private one on its first write
+    ({!own}); a body without block-scope declarations costs one
+    record. *)
+let enter_scope p ~diags =
+  {
+    p with
+    p_outer = Some p;
+    p_struct_order_rev = [];
+    p_typedef_order_rev = [];
+    p_global_order_rev = [];
+    p_func_order_rev = [];
+    diags;
+  }
+
+(* The table [get] selects, innermost scope first; a scope table still
+   shared with the parent is the parent's. *)
+let rec lookup get p k =
+  match p.p_outer with
+  | None -> Hashtbl.find_opt (get p) k
+  | Some o when get p == get o -> lookup get o k
+  | Some o -> (
+      match Hashtbl.find_opt (get p) k with
+      | None -> lookup get o k
+      | hit -> hit)
+
+let find_struct p k = lookup (fun p -> p.p_structs) p k
+let find_typedef p k = lookup (fun p -> p.p_typedefs) p k
+let find_enum_const p k = lookup (fun p -> p.p_enum_consts) p k
+let find_func p k = lookup (fun p -> p.p_funcs) p k
+let find_global p k = lookup (fun p -> p.p_globals) p k
+
+(* The table [get] selects, for writing: a scope still sharing its
+   parent's table first takes an empty one of its own. *)
+let own get set p =
+  match p.p_outer with
+  | Some o when get p == get o ->
+      let t = Hashtbl.create 8 in
+      set p t;
+      t
+  | _ -> get p
+
+let own_structs p = own (fun p -> p.p_structs) (fun p t -> p.p_structs <- t) p
+
+let own_typedefs p =
+  own (fun p -> p.p_typedefs) (fun p t -> p.p_typedefs <- t) p
+
+let own_enum_consts p =
+  own (fun p -> p.p_enum_consts) (fun p t -> p.p_enum_consts <- t) p
+
+let own_funcs p = own (fun p -> p.p_funcs) (fun p t -> p.p_funcs <- t) p
+let own_globals p = own (fun p -> p.p_globals) (fun p t -> p.p_globals <- t) p
 
 let diag p ?(severity = Diag.Err) ?(notes = []) ~loc ~code fmt =
   Fmt.kstr
@@ -143,7 +205,7 @@ let rec typedef_annots p (ty : Ctype.t) : Annot.set =
   match ty with
   | Ctype.Cnamed (name, inner) -> (
       let deeper = typedef_annots p inner in
-      match Hashtbl.find_opt p.p_typedefs name with
+      match find_typedef p name with
       | Some (_, set) -> Annot.override ~base:deeper ~decl:set
       | None -> deeper)
   | _ -> Annot.empty
@@ -204,7 +266,7 @@ let rec const_eval p (e : Ast.expr) : int64 option =
   match e.e with
   | Ast.Eint (v, _) -> Some v
   | Ast.Echar c -> Some (Int64.of_int (Char.code c))
-  | Ast.Eident x -> Hashtbl.find_opt p.p_enum_consts x
+  | Ast.Eident x -> find_enum_const p x
   | Ast.Eunary (Ast.Uneg, e) -> Option.map Int64.neg (const_eval p e)
   | Ast.Eunary (Ast.Ubnot, e) -> Option.map Int64.lognot (const_eval p e)
   | Ast.Eunary (Ast.Unot, e) ->
@@ -242,7 +304,7 @@ let rec const_eval p (e : Ast.expr) : int64 option =
   | _ -> None
 
 (** Resolve an AST type, registering any struct/union/enum definitions it
-    contains into the program environment. *)
+    contains in the innermost scope. *)
 let rec resolve_ty p ~loc (ty : Ast.ty) : Ctype.t =
   match ty with
   | Ast.Tbase b -> resolve_base p ~loc b
@@ -271,7 +333,7 @@ and resolve_base p ~loc (b : Ast.base_type) : Ctype.t =
   | Ast.Tfloat -> Ctype.Cfloat Ctype.Ffloat
   | Ast.Tdouble -> Ctype.Cfloat Ctype.Fdouble
   | Ast.Tnamed n -> (
-      match Hashtbl.find_opt p.p_typedefs n with
+      match find_typedef p n with
       | Some (t, _) -> Ctype.Cnamed (n, t)
       | None ->
           diag p ~loc ~code:"type" "unknown type name '%s'" n;
@@ -297,7 +359,7 @@ and resolve_base p ~loc (b : Ast.base_type) : Ctype.t =
                         !next)
                 | None -> !next
               in
-              Hashtbl.replace p.p_enum_consts it.en_name v;
+              Hashtbl.replace (own_enum_consts p) it.en_name v;
               next := Int64.add v 1L)
             items;
           Ctype.Cenum tag)
@@ -309,8 +371,8 @@ and resolve_su p ~loc ~is_union tag fields : Ctype.t =
   | Some fields ->
       (* two-phase: register the tag first so self-referential fields
          (struct s *next) resolve *)
-      if not (Hashtbl.mem p.p_structs tag) then
-        Hashtbl.replace p.p_structs tag
+      if find_struct p tag = None then
+        Hashtbl.replace (own_structs p) tag
           { su_tag = tag; su_union = is_union; su_fields = []; su_loc = loc };
       let resolved =
         List.map
@@ -327,13 +389,13 @@ and resolve_su p ~loc ~is_union tag fields : Ctype.t =
       in
       if not (List.mem tag p.p_struct_order_rev) then
         p.p_struct_order_rev <- tag :: p.p_struct_order_rev;
-      Hashtbl.replace p.p_structs tag
+      Hashtbl.replace (own_structs p) tag
         { su_tag = tag; su_union = is_union; su_fields = resolved; su_loc = loc });
   if is_union then Ctype.Cunion tag else Ctype.Cstruct tag
 
 (** Look up a struct/union field. *)
 let find_field p tag name : field option =
-  match Hashtbl.find_opt p.p_structs tag with
+  match find_struct p tag with
   | Some su -> List.find_opt (fun f -> f.sf_name = name) su.su_fields
   | None -> None
 
@@ -341,7 +403,7 @@ let find_field p tag name : field option =
 let fields_of p (ty : Ctype.t) : field list =
   match Ctype.su_tag ty with
   | Some tag -> (
-      match Hashtbl.find_opt p.p_structs tag with
+      match find_struct p tag with
       | Some su -> su.su_fields
       | None -> [])
   | None -> []
@@ -351,7 +413,7 @@ let fields_of p (ty : Ctype.t) : field list =
 (* ------------------------------------------------------------------ *)
 
 let funsig_of_decl p ~(name : string) ~(ft : Ctype.cfun)
-    ~(params : Ast.param list) ~varargs ~(annots : Annot.set)
+    ~(formals : Ast.param list) ~varargs ~(annots : Annot.set)
     ~(globals : Ast.globspec list) ~(modifies : string list option) ~static
     ~defined ~loc : funsig =
   let mk_param i (pa : Ast.param) ty : param =
@@ -374,7 +436,7 @@ let funsig_of_decl p ~(name : string) ~(ft : Ctype.cfun)
   let params =
     List.mapi
       (fun i (pa, ty) -> mk_param i pa ty)
-      (List.combine params ft.Ctype.cf_params)
+      (List.combine formals ft.Ctype.cf_params)
   in
   (match Annot.validate ~slot:(Annot.Sreturn name) annots with
   | Some msg -> diag p ~loc ~code:"annot" "%s" msg
@@ -439,14 +501,14 @@ let merge_funsig p (old_ : funsig) (new_ : funsig) : funsig =
     }
 
 let add_funsig p (fs : funsig) =
-  match Hashtbl.find_opt p.p_funcs fs.fs_name with
+  match find_func p fs.fs_name with
   | Some old_ ->
       if old_.fs_defined && fs.fs_defined then
         diag p ~loc:fs.fs_loc ~code:"decl" "function '%s' redefined" fs.fs_name;
-      Hashtbl.replace p.p_funcs fs.fs_name (merge_funsig p old_ fs)
+      Hashtbl.replace (own_funcs p) fs.fs_name (merge_funsig p old_ fs)
   | None ->
       p.p_func_order_rev <- fs.fs_name :: p.p_func_order_rev;
-      Hashtbl.replace p.p_funcs fs.fs_name fs
+      Hashtbl.replace (own_funcs p) fs.fs_name fs
 
 let process_decl p (d : Ast.decl) =
   if d.d_name = "" then
@@ -459,12 +521,12 @@ let process_decl p (d : Ast.decl) =
     | Ast.Stypedef ->
         if not (List.mem d.d_name p.p_typedef_order_rev) then
           p.p_typedef_order_rev <- d.d_name :: p.p_typedef_order_rev;
-        Hashtbl.replace p.p_typedefs d.d_name (ty, set)
+        Hashtbl.replace (own_typedefs p) d.d_name (ty, set)
     | _ -> (
         match Ctype.unroll ty with
         | Ctype.Cfunc ft ->
             (* function declaration *)
-            let params =
+            let formals =
               match d.d_ty with
               | Ast.Tfunc aft -> aft.ft_params
               | Ast.Tptr (Ast.Tfunc aft) -> aft.ft_params
@@ -481,7 +543,7 @@ let process_decl p (d : Ast.decl) =
                     ft.Ctype.cf_params)
             in
             let fs =
-              funsig_of_decl p ~name:d.d_name ~ft ~params
+              funsig_of_decl p ~name:d.d_name ~ft ~formals
                 ~varargs:ft.Ctype.cf_varargs ~annots:set ~globals:[]
                 ~modifies:None
                 ~static:(d.d_storage = Ast.Sstatic) ~defined:false ~loc:d.d_loc
@@ -499,7 +561,7 @@ let process_decl p (d : Ast.decl) =
                 gv_loc = d.d_loc;
               }
             in
-            (match Hashtbl.find_opt p.p_globals d.d_name with
+            (match find_global p d.d_name with
             | Some old_ when old_.gv_defined && defined && old_.gv_ty <> ty ->
                 diag p ~loc:d.d_loc ~code:"decl" "global '%s' redefined"
                   d.d_name
@@ -514,10 +576,10 @@ let process_decl p (d : Ast.decl) =
                     gv_defined = old_.gv_defined || defined;
                   }
                 in
-                Hashtbl.replace p.p_globals d.d_name merged
+                Hashtbl.replace (own_globals p) d.d_name merged
             | None ->
                 p.p_global_order_rev <- d.d_name :: p.p_global_order_rev;
-                Hashtbl.replace p.p_globals d.d_name gv))
+                Hashtbl.replace (own_globals p) d.d_name gv))
 
 let process_fundef p (f : Ast.fundef) =
   let ret = resolve_ty p ~loc:f.f_loc f.f_ret in
@@ -525,7 +587,7 @@ let process_fundef p (f : Ast.fundef) =
   let ft = { Ctype.cf_ret = ret; cf_params = ptys; cf_varargs = f.f_varargs } in
   let set = annot_set p ~loc:f.f_loc f.f_ret_annots in
   let fs =
-    funsig_of_decl p ~name:f.f_name ~ft ~params:f.f_params ~varargs:f.f_varargs
+    funsig_of_decl p ~name:f.f_name ~ft ~formals:f.f_params ~varargs:f.f_varargs
       ~annots:set ~globals:f.f_globals ~modifies:f.f_modifies
       ~static:(f.f_storage = Ast.Sstatic)
       ~defined:true ~loc:f.f_loc
@@ -568,23 +630,6 @@ let analyze_string ?(flags = Flags.default) ?(spec_mode = false) ?into ~file
 let analyze_spec_string ?(flags = Flags.default) ?into ~file src : program =
   analyze_string ~flags ~spec_mode:true ?into ~file src
 
-
-(** A disconnected copy for one parallel checking task.  Checking a body
-    can extend the symbol tables (block-scope typedefs, struct and extern
-    declarations go through {!process_decl}), so concurrent workers must
-    not share them; the copy gets fresh tables and a fresh diagnostics
-    collector while sharing every immutable value (signatures, types,
-    ASTs) with the original. *)
-let copy_for_check p =
-  {
-    p with
-    p_structs = Hashtbl.copy p.p_structs;
-    p_typedefs = Hashtbl.copy p.p_typedefs;
-    p_enum_consts = Hashtbl.copy p.p_enum_consts;
-    p_funcs = Hashtbl.copy p.p_funcs;
-    p_globals = Hashtbl.copy p.p_globals;
-    diags = Diag.Collector.create ();
-  }
 
 (* Source-order views of the reversed accumulators. *)
 let fundefs p = List.rev p.p_fundefs_rev

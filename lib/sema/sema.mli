@@ -75,14 +75,17 @@ val show_globalvar : globalvar -> string
 
 (** The analysed program: symbol tables shared by the checker, the
     interpreter and the interface-library writer.  Multiple translation
-    units may be analysed into one program (see {!analyze}). *)
+    units may be analysed into one program (see {!analyze}).  A
+    procedure scope ({!enter_scope}) has the same shape; its lookups go
+    through the [find_*] functions, which fall through to [p_outer]. *)
 type program = {
   p_file : string;
-  p_structs : (string, suinfo) Hashtbl.t;
-  p_typedefs : (string, Ctype.t * Annot.set) Hashtbl.t;
-  p_enum_consts : (string, int64) Hashtbl.t;
-  p_funcs : (string, funsig) Hashtbl.t;
-  p_globals : (string, globalvar) Hashtbl.t;
+  mutable p_structs : (string, suinfo) Hashtbl.t;
+  mutable p_typedefs : (string, Ctype.t * Annot.set) Hashtbl.t;
+  mutable p_enum_consts : (string, int64) Hashtbl.t;
+  mutable p_funcs : (string, funsig) Hashtbl.t;
+  mutable p_globals : (string, globalvar) Hashtbl.t;
+  p_outer : program option;  (** [None] for the program itself *)
   mutable p_fundefs_rev : (funsig * Cfront.Ast.fundef) list;
   mutable p_struct_order_rev : string list;
   mutable p_typedef_order_rev : string list;
@@ -96,12 +99,21 @@ type program = {
 
 val create_program : ?flags:Flags.t -> file:string -> unit -> program
 
-val copy_for_check : program -> program
-(** A disconnected copy for one parallel checking task: fresh symbol
-    tables and a fresh diagnostics collector, sharing every immutable
-    value (signatures, types, ASTs) with the original.  Checking a body
-    can extend the tables through {!process_decl}, so concurrent workers
-    must each check against their own copy. *)
+val enter_scope : program -> diags:Cfront.Diag.Collector.t -> program
+(** A procedure-local scope over a program: declarations registered in
+    it ({!process_decl}, {!resolve_ty}) are visible through it and
+    never written to the program, which it only reads, and its
+    diagnostics go to [diags].  A block-scope redeclaration of an outer
+    function or global merges with the outer entry as at file scope,
+    and the merged entry stays local.  Creating one allocates a single
+    record; its tables are allocated on first write. *)
+
+val find_struct : program -> string -> suinfo option
+val find_typedef : program -> string -> (Ctype.t * Annot.set) option
+val find_enum_const : program -> string -> int64 option
+val find_func : program -> string -> funsig option
+val find_global : program -> string -> globalvar option
+(** Symbol lookups, innermost scope first. *)
 
 val typedef_annots : program -> Ctype.t -> Annot.set
 (** Annotations inherited from the typedef layers of a type. *)
@@ -111,14 +123,14 @@ val const_eval : program -> Cfront.Ast.expr -> int64 option
 
 val resolve_ty : program -> loc:Cfront.Loc.t -> Cfront.Ast.ty -> Ctype.t
 (** Resolve an AST type, registering any struct/union/enum definitions it
-    contains. *)
+    contains in the innermost scope. *)
 
 val find_field : program -> string -> string -> field option
 val fields_of : program -> Ctype.t -> field list
 
 val process_decl : program -> Cfront.Ast.decl -> unit
-(** Register one declaration (used by the checker for block-level
-    typedef/extern declarations). *)
+(** Register one declaration in the innermost scope (the checker passes
+    block-level typedef/extern declarations to a procedure scope). *)
 
 val analyze :
   ?flags:Flags.t -> ?into:program -> Cfront.Ast.tunit -> program

@@ -553,6 +553,31 @@ printf '%s\n' \
 sed -n 1p "$tmp/srv4" | grep -q '"ok":false' || fail "malformed float should answer ok:false"
 sed -n 2p "$tmp/srv4" | grep -q '"code":"mustfree"' || fail "server should keep checking after a lexical error"
 
+# --- block-scope declarations: one answer from every checking path ---------
+# a declaration inside a body is visible only in its procedure, and its
+# annotation diagnostic is reported once, whatever runs the check
+cat > "$tmp/blk.c" <<'EOF'
+void h(void)
+{
+  extern /*@bogusextern@*/ int q;
+  struct s { /*@bogusfield@*/ int a; } v;
+  v.a = q;
+}
+int use(void) { return q; }
+EOF
+"$OLCLINT" -json -j 1 "$tmp/blk.c" > "$tmp/blk.j1" 2>/dev/null
+"$OLCLINT" -json -j 2 "$tmp/blk.c" > "$tmp/blk.j2" 2>/dev/null
+printf '%s\n' "{\"op\":\"check\",\"files\":[\"$tmp/blk.c\"]}" '{"op":"shutdown"}' \
+  | "$OLCLINT" -server 2>/dev/null | sed -n 1p \
+  | sed -e 's/.*"diagnostics":\[//' -e 's/\]}$//' -e 's/},{"file"/}\n{"file"/g' \
+  > "$tmp/blk.srv"
+[ "$(wc -l < "$tmp/blk.j1")" -eq 3 ] || fail "block-scope fixture should give 3 diagnostics"
+expect_contains "$tmp/blk.j1" "unrecognized annotation 'bogusextern'" "block-scope extern annotation"
+expect_contains "$tmp/blk.j1" "unrecognized annotation 'bogusfield'" "block-scope field annotation"
+expect_contains "$tmp/blk.j1" "unrecognized identifier 'q'" "block-scope extern stays local"
+cmp -s "$tmp/blk.j1" "$tmp/blk.j2" || fail "block-scope fixture: -j 1 and -j 2 differ"
+cmp -s "$tmp/blk.j1" "$tmp/blk.srv" || fail "block-scope fixture: -server differs from -j 1"
+
 # --- documentation drift gate ------------------------------------------------
 # every checking flag and every telemetry counter must appear in the
 # docs/diagnostics.md tables -- and the tables must list nothing phantom

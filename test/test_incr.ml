@@ -134,6 +134,26 @@ let test_body_edit_patches () =
   Alcotest.(check (list string))
     "matches a cold check of the edit" (direct edited) (render oc)
 
+let test_block_scope_warm_matches_cold () =
+  (* a block-scope declaration is visible only inside its procedure, so
+     re-checking [use] alone after a body edit sees what a cold run
+     sees *)
+  let files =
+    [
+      ( "blk.c",
+        "void h(void) { extern int q; }\nint use(void) { return q; }\n" );
+    ]
+  in
+  let svc = Service.create ~flags () in
+  ignore (run svc files);
+  let edited = edit "blk.c" "return q;" "return q + 1;" files in
+  let warm = run svc edited in
+  Alcotest.check tier "patched tier" Service.Patched warm.Service.oc_tier;
+  Alcotest.(check int) "one re-check" 1 warm.Service.oc_rechecked;
+  let cold = run (Service.create ~flags ()) edited in
+  Alcotest.(check (list string)) "warm = cold" (render cold) (render warm);
+  Alcotest.(check (list string)) "cold = direct" (direct edited) (render cold)
+
 let test_funsig_edit_rechecks_callers () =
   let svc = Service.create ~flags () in
   ignore (run svc base_files);
@@ -436,6 +456,8 @@ let () =
             test_cold_matches_direct;
           Alcotest.test_case "clean no-op" `Quick test_clean_noop;
           Alcotest.test_case "body edit" `Quick test_body_edit_patches;
+          Alcotest.test_case "block scope: warm = cold" `Quick
+            test_block_scope_warm_matches_cold;
           Alcotest.test_case "funsig edit" `Quick
             test_funsig_edit_rechecks_callers;
           Alcotest.test_case "summary edit recheck" `Quick

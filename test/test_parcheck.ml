@@ -17,8 +17,7 @@ let examples =
     "../examples/sample.c";
   ]
 
-(* a fresh environment per run: checking may extend symbol tables, so
-   the two runs must not share one *)
+(* a fresh environment per run, so the runs share nothing *)
 let analyze_examples ?(flags = Annot.Flags.default) () =
   let prog = Stdspec.environment ~flags () in
   List.iter
@@ -133,48 +132,6 @@ let test_progen_corpus_jobs () =
   Alcotest.(check string) "-j 1 vs -j 4" seq (run 4);
   Alcotest.(check string) "-j 1 vs -j 64" seq (run 64)
 
-let test_task_granularity () =
-  (* non-mutating procedures fan out individually: far more tasks than
-     files *)
-  let p =
-    Progen.analyse (Progen.generate ~seed:5 ~modules:4 ~fns_per_module:6 ())
-  in
-  let files =
-    List.sort_uniq compare
-      (List.map
-         (fun ((fs : Sema.funsig), _) -> fs.Sema.fs_loc.Cfront.Loc.file)
-         (Sema.fundefs p))
-  in
-  Alcotest.(check bool) "per-procedure tasks" true
-    (Parcheck.task_count p > List.length files)
-
-let test_mutates_env () =
-  (* the environment-mutation classifier: a file holding a procedure
-     whose checking can write into the shared program is one task; any
-     other file fans out, one task per procedure *)
-  let tasks body =
-    let prog = Stdspec.environment () in
-    let src = body ^ "\nvoid other(int x) { int y; y = x; }\n" in
-    let tu = Cfront.Parser.parse_string ~typedefs:[] ~file:"mut.c" src in
-    ignore (Sema.analyze ~flags:Annot.Flags.default ~into:prog tu);
-    Parcheck.task_count prog
-  in
-  List.iter
-    (fun (what, body, want) ->
-      Alcotest.(check int) what want (tasks body))
-    [
-      ("plain body", "void f(int x) { int y; y = x; }", 2);
-      ("block-scope typedef", "void f(void) { typedef int local_t; }", 1);
-      ("block-scope extern", "void f(void) { extern int g; }", 1);
-      ( "inline field list",
-        "void f(void) { struct s { int a; } v; v.a = 0; }",
-        1 );
-      ("enum item list", "void f(void) { enum e { A, B } v; v = A; }", 1);
-      ( "named tag reference only",
-        "struct s { int a; };\nvoid f(struct s v) { v.a = 0; }",
-        2 );
-    ]
-
 let test_pool_and_counters () =
   (* warm-pool reuse is observable, and parallel telemetry stays exact:
      every worker's ticks are merged back, none lost, none doubled.
@@ -189,7 +146,7 @@ let test_pool_and_counters () =
       let run () =
         Telemetry.reset ();
         let r =
-          Parcheck.map_tasks ~oversubscribe:true ~jobs:4 64 (fun ~par:_ i ->
+          Parcheck.map_tasks ~oversubscribe:true ~jobs:4 64 (fun i ->
               Telemetry.Counter.tick Telemetry.c_procedures;
               i * i)
         in
@@ -223,6 +180,155 @@ let test_check_program_counters () =
       Alcotest.(check bool) "procedures counted" true (seq > 0);
       Alcotest.(check int) "exact at -j 4" seq par)
 
+(* ---- block scope: checking is a function of (program, procedure) ---- *)
+
+let analyze_src ?(flags = Annot.Flags.default) src =
+  let prog = Stdspec.environment ~flags () in
+  ignore (Sema.analyze_string ~flags ~into:prog ~file:"block.c" src);
+  prog
+
+(* the rendered diagnostics of every checking path over one source:
+   the sequential [Check.run], then the driver at -j 1 and -j 4 *)
+let all_paths ?(flags = Annot.Flags.default) src =
+  let run =
+    Check.run ~flags ~into:(Stdspec.environment ~flags ()) ~file:"block.c" src
+  in
+  let driver jobs =
+    let p = analyze_src ~flags src in
+    List.map Cfront.Diag.to_string
+      (Cfront.Diag.Collector.sort_emission
+         (Cfront.Diag.Collector.all p.Sema.diags
+         @ Parcheck.check_program ~jobs p))
+  in
+  [
+    ("Check.run", List.map Cfront.Diag.to_string run.Check.reports);
+    ("-j 1", driver 1);
+    ("-j 4", driver 4);
+  ]
+
+let occurrences needle lines =
+  List.length
+    (List.filter
+       (fun l ->
+         let n = String.length needle and m = String.length l in
+         let rec at i =
+           i + n <= m && (String.sub l i n = needle || at (i + 1))
+         in
+         at 0)
+       lines)
+
+let check_once ?flags src =
+  List.iter
+    (fun (path, lines) ->
+      List.iter
+        (fun needle ->
+          Alcotest.(check int) (path ^ ": " ^ needle) 1
+            (occurrences needle lines))
+        [ "bogusextern"; "bogusfield" ])
+    (all_paths ?flags src)
+
+let test_block_annot_once () =
+  check_once
+    "void f(void)\n\
+     {\n\
+    \  extern /*@bogusextern@*/ int g;\n\
+     }\n\
+     void k(void)\n\
+     {\n\
+    \  struct s { /*@bogusfield@*/ int a; } v;\n\
+    \  v.a = 0;\n\
+     }\n"
+
+let test_block_annot_loopexec () =
+  let src =
+    "void w(int n)\n\
+     {\n\
+    \  while (n > 0) {\n\
+    \    extern /*@bogusextern@*/ int g;\n\
+    \    struct s { /*@bogusfield@*/ int a; } v;\n\
+    \    v.a = n;\n\
+    \    n--;\n\
+    \  }\n\
+     }\n"
+  in
+  check_once src;
+  check_once
+    ~flags:{ Annot.Flags.default with Annot.Flags.loop_exec = true }
+    src
+
+let test_block_decls_local () =
+  (* a block-scope declaration in [h] is invisible to [use] *)
+  List.iter
+    (fun decl ->
+      let src =
+        Printf.sprintf
+          "void h(void) { %s }\nint use(void) { return q; }\n" decl
+      in
+      List.iter
+        (fun (path, lines) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s, %s" decl path)
+            1
+            (occurrences "unrecognized identifier 'q'" lines))
+        (all_paths src))
+    [ "extern int q;"; "enum { q = 3 } c; c = q;" ]
+
+(* everything checking could have written into the program *)
+let fingerprint (p : Sema.program) =
+  String.concat " | "
+    [
+      String.concat ","
+        (List.map string_of_int
+           [
+             Hashtbl.length p.Sema.p_structs;
+             Hashtbl.length p.Sema.p_typedefs;
+             Hashtbl.length p.Sema.p_enum_consts;
+             Hashtbl.length p.Sema.p_funcs;
+             Hashtbl.length p.Sema.p_globals;
+           ]);
+      String.concat "," (Sema.typedef_order p);
+      String.concat "," (Sema.struct_order p);
+      String.concat "," (Sema.global_order p);
+      string_of_int p.Sema.anon_counter;
+    ]
+
+let test_program_unchanged () =
+  let src =
+    "int shared;\n\
+     void f(int n)\n\
+     {\n\
+    \  typedef struct { int a; } local_t;\n\
+    \  extern /*@bogusextern@*/ int g;\n\
+    \  extern int shared;\n\
+    \  extern void helper(int x);\n\
+    \  struct s { /*@bogusfield@*/ int a; } v;\n\
+    \  enum { RED = 3, GREEN } c;\n\
+    \  local_t t;\n\
+    \  while (n > 0) { typedef int inner_t; inner_t i; i = n; n = n - i; }\n\
+    \  t.a = (int) sizeof(struct { int b; });\n\
+    \  c = RED;\n\
+    \  v.a = t.a + g + shared;\n\
+     }\n"
+  in
+  let flags = { Annot.Flags.default with Annot.Flags.loop_exec = true } in
+  let sema_only = analyze_src ~flags src in
+  let want = fingerprint sema_only in
+  let run =
+    Check.run ~flags ~into:(Stdspec.environment ~flags ()) ~file:"block.c" src
+  in
+  Alcotest.(check string) "Check.run" want (fingerprint run.Check.program);
+  let unchanged what (check : Sema.program -> unit) =
+    let p = analyze_src ~flags src in
+    let diags = Cfront.Diag.Collector.count p.Sema.diags in
+    check p;
+    Alcotest.(check string) what want (fingerprint p);
+    Alcotest.(check int) (what ^ ": no new program diagnostics") diags
+      (Cfront.Diag.Collector.count p.Sema.diags)
+  in
+  unchanged "-j 1" (fun p -> ignore (Parcheck.check_program ~jobs:1 p));
+  unchanged "-j 4" (fun p -> ignore (Parcheck.check_program ~jobs:4 p));
+  unchanged "Infer.run" (fun p -> ignore (Infer.run p))
+
 let () =
   Alcotest.run "parcheck"
     [
@@ -242,12 +348,20 @@ let () =
         ] );
       ( "scheduler",
         [
-          Alcotest.test_case "per-procedure granularity" `Quick
-            test_task_granularity;
           Alcotest.test_case "warm pool and exact counters" `Quick
             test_pool_and_counters;
           Alcotest.test_case "exact counters end to end" `Quick
             test_check_program_counters;
         ] );
-      ("mutation", [ Alcotest.test_case "mutates_env" `Quick test_mutates_env ]);
+      ( "block scope",
+        [
+          Alcotest.test_case "annotation reported once" `Quick
+            test_block_annot_once;
+          Alcotest.test_case "+loopexec: reported once" `Quick
+            test_block_annot_loopexec;
+          Alcotest.test_case "declarations stay in their procedure" `Quick
+            test_block_decls_local;
+          Alcotest.test_case "program left unchanged" `Quick
+            test_program_unchanged;
+        ] );
     ]
