@@ -4,7 +4,6 @@
 
     Usage:
     - [dune exec bench/main.exe]            — all experiment tables
-    - [dune exec bench/main.exe -- micro]   — bechamel micro-benchmarks
     - [dune exec bench/main.exe -- fig_sample sec6_employee ...] — a subset
     - [dune exec bench/main.exe -- -seed 7 scale] — fix the Progen seed
     - [dune exec bench/main.exe -- -baseline bench/store_ops_baseline.txt
@@ -28,6 +27,15 @@ let time f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
+
+(* (file, text) sources analysed in order over the standard library *)
+let analyze_files ~flags files =
+  let prog = Stdspec.environment ~flags () in
+  List.iter
+    (fun (file, text) ->
+      ignore (Sema.analyze_string ~flags ~into:prog ~file text))
+    files;
+  prog
 
 (* [-seed N] threads a PRNG seed into every Progen corpus so generated
    programs (and BENCH_*.json derived from them) are reproducible
@@ -156,21 +164,18 @@ let sec7_scaling () =
   let prog = Progen.analyse p in
   let lib = Check.Libspec.save prog in
   let _, t_whole = time (fun () -> Progen.static_check p) in
-  let flags = Flags.default in
   let _, t_mod =
     time (fun () ->
-        let env = Stdspec.environment ~flags () in
-        let env = Check.Libspec.load ~flags ~into:env ~file:"lib.lh" lib in
         let name, text = List.hd p.Progen.files in
-        let typedefs =
-          Hashtbl.fold (fun k _ acc -> k :: acc) env.Sema.p_typedefs []
+        let env =
+          Sema.analyze_string
+            ~into:(Stdspec.base_environment ~libs:[ ("lib.lh", lib) ] ())
+            ~file:name text
         in
-        let tu = Cfront.Parser.parse_string ~typedefs ~file:name text in
-        ignore (Sema.analyze ~flags ~into:env tu);
         List.iter
           (fun ((fs : Sema.funsig), def) ->
             if fs.Sema.fs_loc.Cfront.Loc.file = name then
-              Check.Checker.check_fundef env fs def)
+              ignore (Check.Checker.check_fundef env fs def))
           (Sema.fundefs env))
   in
   row "  modular: whole program (%d lines) %.3fs; one module against the\n"
@@ -262,16 +267,12 @@ let sec7_missed () =
     (List.sort compare p.Progen.seeded);
   row "\n  employee database (fully annotated): static clean, but the\n";
   row "  run-time leak check still reports storage reachable from globals:\n";
-  let flags = E.paper_flags in
-  let prog = Stdspec.environment ~flags () in
-  List.iter
-    (fun (f : E.file) ->
-      let typedefs =
-        Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs []
-      in
-      let tu = Cfront.Parser.parse_string ~typedefs ~file:f.E.name f.E.text in
-      ignore (Sema.analyze ~flags ~into:prog tu))
-    (E.stage E.max_stage);
+  let prog =
+    analyze_files ~flags:E.paper_flags
+      (List.map
+         (fun (f : E.file) -> (f.E.name, f.E.text))
+         (E.stage E.max_stage))
+  in
   let rt = Rtcheck.run prog in
   row "    %d leaks, all reachable from globals: %b\n"
     (List.length rt.Rtcheck.leaks)
@@ -397,17 +398,7 @@ let phases () =
   row "  and a generated 3k-line program.  Written to BENCH_phases.json.\n\n";
   Telemetry.reset ();
   Telemetry.set_enabled true;
-  let flags = E.paper_flags in
-  let prog = Stdspec.environment ~flags () in
-  List.iter
-    (fun (f : E.file) ->
-      let typedefs =
-        Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs []
-      in
-      let tu = Cfront.Parser.parse_string ~typedefs ~file:f.E.name f.E.text in
-      ignore (Sema.analyze ~flags ~into:prog tu))
-    (E.stage E.max_stage);
-  Check.Checker.check_program prog;
+  ignore (E.check ~flags:E.paper_flags E.max_stage);
   let gen = Progen.generate ~seed:!seed_flag ~modules:8 ~fns_per_module:10 () in
   ignore (Progen.static_check gen);
   Format.printf "%a" Telemetry.pp_stats ();
@@ -455,18 +446,6 @@ let slot_key (s : Infer.slot) =
   match s with
   | Infer.Sret -> "ret"
   | Infer.Sparam i -> Printf.sprintf "p%d" i
-
-let analyze_files ~flags files =
-  let prog = Stdspec.environment ~flags () in
-  List.iter
-    (fun (name, text) ->
-      let typedefs =
-        Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs []
-      in
-      let tu = Cfront.Parser.parse_string ~typedefs ~file:name text in
-      ignore (Sema.analyze ~flags ~into:prog tu))
-    files;
-  prog
 
 let infer_exp () =
   section "E9: annotation inference vs the hand annotations";
@@ -697,84 +676,6 @@ let infer_exp () =
     List.iter (fun m -> row "  GATE FAILED: %s\n" m) (List.rev !failures);
     exit 3
   end
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  section "Micro-benchmarks (bechamel)";
-  let open Bechamel in
-  let open Toolkit in
-  let db_files = E.stage E.max_stage in
-  let db_text = String.concat "\n" (List.map (fun (f : E.file) -> f.E.text) db_files) in
-  let gen = Progen.generate ~seed:!seed_flag ~modules:8 ~fns_per_module:10 () in
-  let tests =
-    [
-      Test.make ~name:"lexer: employee db"
-        (Staged.stage (fun () ->
-             ignore (Cfront.Lexer.tokenize ~file:"db.c" db_text)));
-      Test.make ~name:"parser: employee db"
-        (Staged.stage (fun () ->
-             ignore
-               (Cfront.Parser.parse_string ~typedefs:[ "size_t"; "FILE" ]
-                  ~file:"db.c" db_text)));
-      Test.make ~name:"check: fig5 list_addh"
-        (Staged.stage (fun () ->
-             ignore
-               (Stdspec.check
-                  ~flags:Flags.(allimponly_off default)
-                  ~file:"list.c" Corpus.Figures.fig5_list_addh)));
-      Test.make ~name:"check: employee db stage 7"
-        (Staged.stage (fun () ->
-             ignore (E.check ~flags:E.paper_flags E.max_stage)));
-      Test.make ~name:"check: generated 3k lines"
-        (Staged.stage (fun () -> ignore (Progen.static_check gen)));
-      Test.make ~name:"interp: employee db"
-        (Staged.stage (fun () ->
-             let flags = E.paper_flags in
-             let prog = Stdspec.environment ~flags () in
-             List.iter
-               (fun (f : E.file) ->
-                 let typedefs =
-                   Hashtbl.fold
-                     (fun k _ acc -> k :: acc)
-                     prog.Sema.p_typedefs []
-                 in
-                 let tu =
-                   Cfront.Parser.parse_string ~typedefs ~file:f.E.name f.E.text
-                 in
-                 ignore (Sema.analyze ~flags ~into:prog tu))
-               db_files;
-             ignore (Rtcheck.run prog)));
-    ]
-  in
-  let benchmark test =
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) ()
-    in
-    Benchmark.all cfg instances test
-  in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Instance.monotonic_clock results
-  in
-  List.iter
-    (fun test ->
-      let results = analyze (benchmark test) in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-              let ms = est /. 1e6 in
-              if ms >= 1.0 then row "  %-32s %10.3f ms/run\n" name ms
-              else row "  %-32s %10.1f us/run\n" name (est /. 1e3)
-          | _ -> row "  %-32s (no estimate)\n" name)
-        results)
-    tests
 
 (* ------------------------------------------------------------------ *)
 (* E10: multicore checking (parcheck scaling)                          *)
@@ -1914,7 +1815,6 @@ let experiments =
     ("ablation", ablation);
     ("phases", phases);
     ("infer", infer_exp);
-    ("micro", micro);
     ("scale", scale);
     ("difftest", difftest_exp);
     ("loops", loops_exp);

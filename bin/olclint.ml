@@ -19,6 +19,8 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let read_all = List.map (fun path -> (path, read_file path))
+
 let run files flag_args load_libs lcl_specs dump_lib no_stdlib quiet stats
     timings json infer_report infer_bulk infer_out infer_budget ranker_spec
     jobs server cache dump_flags dump_counters dump_summaries =
@@ -62,10 +64,8 @@ let run files flag_args load_libs lcl_specs dump_lib no_stdlib quiet stats
      positional files are ignored (clients name files per request). *)
   if server then begin
     (match
-       let load = List.map (fun l -> (l, read_file l)) load_libs in
-       let specs = List.map (fun s -> (s, read_file s)) lcl_specs in
-       Incr.Service.create ~flags ~no_stdlib ~load_libs:load ~lcl_specs:specs
-         ()
+       Incr.Service.create ~flags ~no_stdlib ~load_libs:(read_all load_libs)
+         ~lcl_specs:(read_all lcl_specs) ()
      with
     | exception Sys_error msg ->
         Printf.eprintf "olclint: %s\n" msg;
@@ -88,40 +88,31 @@ let run files flag_args load_libs lcl_specs dump_lib no_stdlib quiet stats
             Printf.eprintf "olclint: -ranker-spec: %s\n" msg;
             exit 2)
   in
-  let prog =
-    if no_stdlib then Sema.create_program ~flags ~file:"<none>" ()
-    else Stdspec.environment ~flags ()
+  (* [sources]: original file contents, kept for -infer-bulk's patch
+     renderer *)
+  let prog, sources =
+    try
+      let prog =
+        Stdspec.base_environment ~flags ~no_stdlib ~libs:(read_all load_libs)
+          ~specs:(read_all lcl_specs) ()
+      in
+      let sources =
+        List.map
+          (fun file ->
+            let text = read_file file in
+            ignore (Sema.analyze_string ~flags ~into:prog ~file text);
+            (file, text))
+          files
+      in
+      (prog, sources)
+    with
+    | Cfront.Diag.Fatal d ->
+        Printf.eprintf "%s\n" (Cfront.Diag.to_string d);
+        exit 2
+    | Sys_error msg ->
+        Printf.eprintf "olclint: %s\n" msg;
+        exit 2
   in
-  (* original file contents, kept for -infer-bulk's patch renderer *)
-  let sources = ref [] in
-  (try
-     List.iter
-       (fun lib ->
-         ignore (Check.Libspec.load ~flags ~into:prog ~file:lib (read_file lib)))
-       load_libs;
-     List.iter
-       (fun spec ->
-         ignore
-           (Sema.analyze_spec_string ~flags ~into:prog ~file:spec
-              (read_file spec)))
-       lcl_specs;
-     List.iter
-       (fun file ->
-         let typedefs =
-           Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs []
-         in
-         let text = read_file file in
-         sources := (file, text) :: !sources;
-         let tu = Cfront.Parser.parse_string ~typedefs ~file text in
-         ignore (Sema.analyze ~flags ~into:prog tu))
-       files
-   with
-  | Cfront.Diag.Fatal d ->
-      Printf.eprintf "%s\n" (Cfront.Diag.to_string d);
-      exit 2
-  | Sys_error msg ->
-      Printf.eprintf "olclint: %s\n" msg;
-      exit 2);
   (* --dump-summaries: print every derived effect summary (the same
      table +xproc consults), sorted by function name, and stop *)
   if dump_summaries then begin
@@ -148,7 +139,7 @@ let run files flag_args load_libs lcl_specs dump_lib no_stdlib quiet stats
   | true, _, Some outcome ->
       let patch =
         Infer.render_patch prog outcome ~read:(fun f ->
-            List.assoc_opt f !sources)
+            List.assoc_opt f sources)
       in
       (match infer_out with
       | Some path ->
@@ -199,14 +190,9 @@ let run files flag_args load_libs lcl_specs dump_lib no_stdlib quiet stats
      per-procedure code on this domain — so output is identical for
      every [-j]. *)
   let jobs = if jobs <= 0 then Parcheck.default_jobs () else jobs in
-  let check_diags = Parcheck.check_program ~jobs prog in
-  let table, errs = Check.Suppress.of_pragmas prog.Sema.p_pragmas in
-  List.iter (Cfront.Diag.Collector.emit prog.Sema.diags) errs;
-  let all =
-    Cfront.Diag.Collector.sort_emission
-      (Cfront.Diag.Collector.all prog.Sema.diags @ check_diags)
+  let kept, suppressed =
+    Check.report prog (Parcheck.check_program ~jobs prog)
   in
-  let kept, suppressed = Check.Suppress.filter table all in
   (* -json: one record per diagnostic (kept and suppressed) on stdout;
      the human summary moves to stderr so stdout stays pure NDJSON *)
   if json then
@@ -362,7 +348,7 @@ let jobs_arg =
         ~doc:
           "Check files on N parallel worker domains (default 1; 0 means \
            one per available core).  Output is byte-identical for every \
-           N: diagnostics are buffered per file and emitted in \
+           N: diagnostics are buffered per procedure and emitted in \
            deterministic (file, line, column, code) order.")
 
 let server_arg =
@@ -435,8 +421,10 @@ let argv =
     | [] -> []
     | ("-f" | "--flag") :: v :: rest ->
         (* an explicit -f keeps its value verbatim (it may start with
-           '+', which must not be expanded a second time) *)
-        "-f" :: v :: rewrite rest
+           '+', which must not be expanded a second time); joined as
+           [-f=V] so cmdliner takes a dash-led value ([-f -allimponly])
+           as the value, not as more options *)
+        ("-f=" ^ v) :: rewrite rest
     | "-loopiter" :: n :: rest -> "-f" :: ("loopiter=" ^ n) :: rewrite rest
     | "-server" :: rest -> "--server" :: rewrite rest
     | "-cache" :: rest -> "--cache" :: rewrite rest

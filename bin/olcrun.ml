@@ -22,11 +22,8 @@ let run files entry max_steps oom_fail show_output show_profile stats timings =
   (try
      List.iter
        (fun file ->
-         let typedefs =
-           Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs []
-         in
-         let tu = Cfront.Parser.parse_string ~typedefs ~file (read_file file) in
-         ignore (Sema.analyze ~flags ~into:prog tu))
+         ignore
+           (Sema.analyze_string ~flags ~into:prog ~file (read_file file)))
        files
    with
   | Cfront.Diag.Fatal d ->

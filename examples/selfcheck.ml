@@ -38,22 +38,16 @@ let () =
   let one_module = List.hd p.Progen.files in
   let _, t_mod =
     time (fun () ->
-        let flags = Annot.Flags.default in
-        let env = Stdspec.environment ~flags () in
-        let env = Check.Libspec.load ~flags ~into:env ~file:"program.lh" lib in
-        let typedefs =
-          Hashtbl.fold (fun k _ acc -> k :: acc) env.Sema.p_typedefs []
+        let env =
+          Sema.analyze_string
+            ~into:(Stdspec.base_environment ~libs:[ ("program.lh", lib) ] ())
+            ~file:(fst one_module) (snd one_module)
         in
-        let tu =
-          Cfront.Parser.parse_string ~typedefs ~file:(fst one_module)
-            (snd one_module)
-        in
-        ignore (Sema.analyze ~flags ~into:env tu);
         (* re-check only the functions of this module *)
         List.iter
           (fun ((fs : Sema.funsig), def) ->
             if fs.Sema.fs_loc.Cfront.Loc.file = fst one_module then
-              Check.Checker.check_fundef env fs def)
+              ignore (Check.Checker.check_fundef env fs def))
           (Sema.fundefs env))
   in
   let _, t_whole = time (fun () -> Progen.static_check p) in

@@ -145,7 +145,7 @@ let check_against_spec ~name impl =
   let flags = Annot.Flags.default in
   let prog = Stdspec.environment ~flags () in
   ignore (Sema.analyze_spec_string ~flags ~into:prog ~file:"stack.lcl" spec);
-  let r = Check.run ~flags ~into:prog ~file:"stack.c" (impl ^ "\n" ^ client) in
+  let r = Check.run ~flags ~into:prog [ ("stack.c", impl ^ "\n" ^ client) ] in
   (match r.Check.reports with
   | [] -> print_endline "clean."
   | ds -> List.iter (fun d -> print_endline (Cfront.Diag.to_string d)) ds);

@@ -188,12 +188,6 @@ module Collector = struct
 
   let all c = List.rev c.rev
   let count c = c.count
-  let errors c = List.filter (fun d -> d.severity = Err) (all c)
-
-  (** Diagnostics sorted by source position (file, line, col), stable for
-      equal positions. *)
-  let sorted c =
-    List.stable_sort (fun a b -> Loc.compare_pos a.loc b.loc) (all c)
 
   let sort_emission ds =
     List.stable_sort
@@ -202,11 +196,6 @@ module Collector = struct
         | 0 -> String.compare a.code b.code
         | c -> c)
       ds
-
-  let by_code c code = List.filter (fun d -> d.code = code) (all c)
-  let clear c =
-    c.rev <- [];
-    c.count <- 0
 end
 
 exception Fatal of t

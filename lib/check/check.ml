@@ -1,9 +1,10 @@
 (** Top-level checking API.
 
-    [run ~file src] performs the whole pipeline the paper describes: parse
+    [run sources] performs the whole pipeline the paper describes: parse
     (annotations included), extract interfaces, check every function body
     against the interface annotations, then apply stylized-comment
-    suppression.  Diagnostics come back in source order. *)
+    suppression ({!report}, the step [olclint] shares).  Diagnostics come
+    back in emission order: file, line, column, code. *)
 
 module State = State
 module Sref = Sref
@@ -18,33 +19,54 @@ module Flags = Annot.Flags
 
 type result = {
   program : Sema.program;
-  reports : Diag.t list;  (** kept diagnostics, in source order *)
+  reports : Diag.t list;  (** kept diagnostics, in emission order *)
   suppressed : Diag.t list;  (** diagnostics silenced by stylized comments *)
 }
 
 let report_count r = List.length r.reports
 let by_code r code = List.filter (fun (d : Diag.t) -> d.Diag.code = code) r.reports
 
-(** Check a parsed translation unit.  [into] lets callers pre-load
-    interface libraries (see {!Libspec}) so the unit is checked modularly. *)
-let run_tunit ?(flags = Flags.default) ?into (tu : Ast.tunit) : result =
-  let program = Sema.analyze ~flags ?into tu in
-  Checker.check_program program;
+(** Order, count and split a checked program's output: the frontend's
+    diagnostics, the suppression table's own errors and [check_diags],
+    sorted by {!Diag.Collector.sort_emission} and partitioned into
+    (kept, suppressed).  Reads [program] only, so a long-lived
+    environment can be reported on repeatedly. *)
+let report (program : Sema.program) (check_diags : Diag.t list) :
+    Diag.t list * Diag.t list =
   let table, errs = Suppress.of_pragmas program.Sema.p_pragmas in
-  List.iter (Diag.Collector.emit program.Sema.diags) errs;
-  let all = Diag.Collector.sorted program.Sema.diags in
-  let kept, suppressed = Suppress.filter table all in
-  { program; reports = kept; suppressed }
+  (* counted like every emitted diagnostic, though never emitted into
+     the program's collector *)
+  List.iter
+    (fun d ->
+      Telemetry.count (Telemetry.diag_counter_prefix ^ Diag.category d) 1)
+    errs;
+  Suppress.filter table
+    (Diag.Collector.sort_emission
+       (Diag.Collector.all program.Sema.diags @ errs @ check_diags))
 
-(** Parse and check a source string. *)
-let run ?(flags = Flags.default) ?into ~file (src : string) : result =
-  let typedefs =
+(** Analyse [sources] (file name, text) in order into [into] (or a
+    fresh program) and check every procedure.  [into] lets callers
+    pre-load the standard library and interface libraries (see
+    {!Libspec}) so the sources are checked modularly. *)
+let run ?(flags = Flags.default) ?into (sources : (string * string) list) :
+    result =
+  let program =
     match into with
-    | Some p -> Hashtbl.fold (fun k _ acc -> k :: acc) p.Sema.p_typedefs []
-    | None -> []
+    | Some p -> p
+    | None -> Sema.create_program ~flags ~file:"<none>" ()
   in
-  let tu = Parser.parse_string ~typedefs ~file src in
-  run_tunit ~flags ?into tu
+  List.iter
+    (fun (file, text) ->
+      ignore (Sema.analyze_string ~flags ~into:program ~file text))
+    sources;
+  let summaries = Checker.summaries program in
+  let reports, suppressed =
+    report program
+      (List.concat_map
+         (fun (fs, f) -> Checker.check_fundef ?summaries program fs f)
+         (Sema.fundefs program))
+  in
+  { program; reports; suppressed }
 
 (** Render diagnostics the way LCLint prints them. *)
 let render_reports (r : result) : string =

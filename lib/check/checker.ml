@@ -3108,17 +3108,14 @@ let funsig_inferred (fs : Sema.funsig) : bool =
        (fun (p : Sema.param) -> Annot.is_inferred p.Sema.pr_annots.Sema.an)
        fs.Sema.fs_params
 
-(** Check one function definition against its interface.  [prog] is
-    only read: block-scope declarations go to a scope private to this
-    call, so the result depends on nothing but the program and the
-    procedure.
-
-    [diags] redirects the procedure's messages away from the program's
-    collector (annotation inference probes candidate annotations into a
-    scratch collector); [exit_obs] observes the raw abstract state at
-    every reachable exit (summary extraction). *)
-let check_fundef ?diags ?exit_obs ?summaries (prog : Sema.program)
-    (fs : Sema.funsig) (f : Ast.fundef) : unit =
+(** Check one function definition against its interface and return its
+    diagnostics in emission order.  [prog] is only read: messages go to
+    a collector private to this call and block-scope declarations to a
+    private scope, so the result depends on nothing but the program and
+    the procedure.  [exit_obs] observes the raw abstract state at every
+    reachable exit (summary extraction). *)
+let check_fundef ?exit_obs ?summaries (prog : Sema.program)
+    (fs : Sema.funsig) (f : Ast.fundef) : Diag.t list =
   Telemetry.Counter.tick Telemetry.c_procedures;
   Telemetry.with_span ~file:fs.Sema.fs_loc.Loc.file ~label:fs.Sema.fs_name
     Telemetry.phase_check
@@ -3132,7 +3129,7 @@ let check_fundef ?diags ?exit_obs ?summaries (prog : Sema.program)
            | None -> false)
          (Sema.calls_of_fundef f)
   in
-  let diags = Option.value diags ~default:prog.Sema.diags in
+  let diags = Diag.Collector.create () in
   let env =
     {
       prog = Sema.enter_scope prog ~diags;
@@ -3224,14 +3221,13 @@ let check_fundef ?diags ?exit_obs ?summaries (prog : Sema.program)
          "Control reaches the end of non-void function %s" fs.Sema.fs_name);
     ignore (check_exit env st ~ret:None ~loc)
   end;
-  ignore (pop_scope env)
+  ignore (pop_scope env);
+  Diag.Collector.all diags
 
-(** Check every function defined in the program.  Diagnostics accumulate in
-    [prog.diags]. *)
-let check_program (prog : Sema.program) : unit =
-  let summaries =
-    if prog.Sema.flags.Flags.xproc then Some (Summary.of_program prog)
-    else None
-  in
-  List.iter (fun (fs, f) -> check_fundef ?summaries prog fs f)
-    (Sema.fundefs prog)
+(** The [+xproc] effect-summary table, derived once per program before
+    any procedure is checked (the SCC fixpoint runs callees before
+    callers, so it cannot be split per procedure); [None] without
+    [+xproc]. *)
+let summaries (prog : Sema.program) : Summary.table option =
+  if prog.Sema.flags.Flags.xproc then Some (Summary.of_program prog)
+  else None

@@ -9,8 +9,8 @@
     parameters are modelled as a local variable aliasing the externally
     visible reference ([l] vs [argl]).
 
-    Diagnostics accumulate in the program's collector; most callers want
-    the {!Check} facade instead. *)
+    Each procedure's diagnostics are returned to the caller; most callers
+    want the {!Check} facade instead. *)
 
 (** Raw abstract state at one procedure exit, observed before the exit
     checks replace anomalous states with error markers.  Annotation
@@ -24,19 +24,19 @@ type exit_info = {
 }
 
 val check_fundef :
-  ?diags:Cfront.Diag.Collector.t ->
   ?exit_obs:(exit_info -> unit) ->
   ?summaries:Summary.table ->
-  Sema.program -> Sema.funsig -> Cfront.Ast.fundef -> unit
-(** Check one function definition against its interface.  [diags]
-    redirects messages to a scratch collector (inference probes);
-    [exit_obs] is called at every reachable exit with the raw state
-    (summary extraction); [summaries] supplies interprocedural effect
-    summaries, consulted at unannotated call-site slots when the
-    program's flags enable [+xproc] (pass the {!Summary.of_program}
-    table; without it [+xproc] has no effect on this procedure). *)
+  Sema.program -> Sema.funsig -> Cfront.Ast.fundef -> Cfront.Diag.t list
+(** Check one function definition against its interface and return its
+    diagnostics in emission order.  The program is only read: messages
+    go to a collector private to the call, so a procedure's output never
+    lands in [prog.diags].  [exit_obs] is called at every reachable exit
+    with the raw state (summary extraction); [summaries] supplies
+    interprocedural effect summaries, consulted at unannotated call-site
+    slots when the program's flags enable [+xproc] (pass {!summaries};
+    without it [+xproc] has no effect on this procedure). *)
 
-val check_program : Sema.program -> unit
-(** Check every function defined in the program, in source order.
-    Computes the {!Summary} table first when the program's flags enable
-    [+xproc]. *)
+val summaries : Sema.program -> Summary.table option
+(** The {!Summary.of_program} table when the program's flags enable
+    [+xproc], else [None].  Compute it once per program, before checking
+    any procedure. *)

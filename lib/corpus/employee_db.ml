@@ -538,24 +538,11 @@ let line_count n =
     the annotated standard library, then checked.  Returns the combined
     result. *)
 let check ?(flags = Annot.Flags.default) (n : int) : Check.result =
-  let prog = Stdspec.environment ~flags () in
-  let files = stage n in
-  (* analyse every module first (interfaces), then check; LCLint sees each
-     module's interface through headers, which sequential analysis models *)
-  List.iter
-    (fun f ->
-      let typedefs =
-        Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs []
-      in
-      let tu = Cfront.Parser.parse_string ~typedefs ~file:f.name f.text in
-      ignore (Sema.analyze ~flags ~into:prog tu))
-    files;
-  Check.Checker.check_program prog;
-  let table, errs = Check.Suppress.of_pragmas prog.Sema.p_pragmas in
-  List.iter (Cfront.Diag.Collector.emit prog.Sema.diags) errs;
-  let all = Cfront.Diag.Collector.sorted prog.Sema.diags in
-  let kept, suppressed = Check.Suppress.filter table all in
-  { Check.program = prog; reports = kept; suppressed }
+  (* every module is analysed first (interfaces), then checked; LCLint
+     sees each module's interface through headers, which sequential
+     analysis models *)
+  Check.run ~flags ~into:(Stdspec.environment ~flags ())
+    (List.map (fun f -> (f.name, f.text)) (stage n))
 
 (** Anomaly counts per category for one stage, under the paper's
     expository flags ([-allimponly]). *)

@@ -278,17 +278,9 @@ let typedef_snapshot (env : Sema.program) = Sema.typedef_order env
    this returns. *)
 let build_env t ~flags docs =
   let env =
-    if t.no_stdlib then Sema.create_program ~flags ~file:"<none>" ()
-    else Stdspec.environment ~flags ()
+    Stdspec.base_environment ~flags ~no_stdlib:t.no_stdlib ~libs:t.libs
+      ~specs:t.specs ()
   in
-  List.iter
-    (fun (name, text) ->
-      ignore (Check.Libspec.load ~flags ~into:env ~file:name text))
-    t.libs;
-  List.iter
-    (fun (name, text) ->
-      ignore (Sema.analyze_spec_string ~flags ~into:env ~file:name text))
-    t.specs;
   let base_pragmas = env.Sema.p_pragmas in
   let new_files = Hashtbl.create (List.length docs * 2) in
   List.iter
@@ -380,22 +372,17 @@ let revalidate_and_check t ~jobs (env : Sema.program) =
      compares cached callee-summary hashes against it, so a callee body
      edit that changes the callee's derived effects (with an unchanged
      declared signature) invalidates its cached callers *)
-  let summaries =
-    if t.flags.Flags.xproc then begin
-      let tbl = Summary.of_program env in
+  let summaries = Check.Checker.summaries env in
+  (match summaries with
+  | Some tbl ->
       let hashes = Hashtbl.create (Hashtbl.length tbl * 2) in
       Hashtbl.iter
         (fun name sm -> Hashtbl.replace hashes name (Summary.hash sm))
         tbl;
-      t.summary_hashes <- hashes;
-      Some tbl
-    end
-    else begin
+      t.summary_hashes <- hashes
+  | None ->
       if Hashtbl.length t.summary_hashes > 0 then
-        t.summary_hashes <- Hashtbl.create 256;
-      None
-    end
-  in
+        t.summary_hashes <- Hashtbl.create 256);
   let pairs = Sema.fundefs env in
   let hits = ref 0 and misses = ref 0 in
   let miss_list =
@@ -446,9 +433,7 @@ let revalidate_and_check t ~jobs (env : Sema.program) =
   let results =
     Parcheck.map_tasks ~jobs (Array.length arr) (fun i ->
         let _, fs, fd = arr.(i) in
-        let coll = Diag.Collector.create () in
-        Check.Checker.check_fundef ~diags:coll ?summaries env fs fd;
-        Diag.Collector.all coll)
+        Check.Checker.check_fundef ?summaries env fs fd)
   in
   Array.iteri
     (fun i diags ->
@@ -457,23 +442,17 @@ let revalidate_and_check t ~jobs (env : Sema.program) =
     results;
   (!hits, !misses, Array.length arr)
 
-(* Assemble the request's diagnostics exactly like the cold CLI:
-   frontend/sema messages, suppression-table errors, then the cached
-   per-function results, sorted into canonical emission order and split
-   by the suppression table. *)
+(* The request's output: {!Check.report} — the cold CLI's output step —
+   over the cached per-function results in definition order.  It only
+   reads [env], which persists across requests. *)
 let assemble t (env : Sema.program) =
-  let frontend = Diag.Collector.all env.Sema.diags in
-  let table, errs = Check.Suppress.of_pragmas env.Sema.p_pragmas in
-  let checkd =
-    List.concat_map
-      (fun ((fs : Sema.funsig), _) ->
-        match Hashtbl.find_opt t.fns (fn_id fs) with
-        | Some e -> e.fn_diags
-        | None -> [])
-      (Sema.fundefs env)
-  in
-  let all = Diag.Collector.sort_emission (frontend @ errs @ checkd) in
-  Check.Suppress.filter table all
+  Check.report env
+    (List.concat_map
+       (fun ((fs : Sema.funsig), _) ->
+         match Hashtbl.find_opt t.fns (fn_id fs) with
+         | Some e -> e.fn_diags
+         | None -> [])
+       (Sema.fundefs env))
 
 (* ------------------------------------------------------------------ *)
 (* The check request                                                   *)

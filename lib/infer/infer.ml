@@ -160,21 +160,22 @@ let apply_cand (fs : Sema.funsig) (c : cand) : Sema.funsig =
 (* Probing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Re-check one function against a scratch collector; its diagnostics
-   and raw exit states are the procedure summary. *)
+(* Re-check one function; its diagnostics and raw exit states are the
+   procedure summary. *)
 let summarize (prog : Sema.program) (bodies : (string, Ast.fundef) Hashtbl.t)
     (name : string) : Diag.t list * Check.Checker.exit_info list =
   match Hashtbl.find_opt bodies name with
   | None -> ([], [])
   | Some f ->
       let fs = Hashtbl.find prog.Sema.p_funcs name in
-      let scratch = Diag.Collector.create () in
       let exits = ref [] in
       Telemetry.Counter.tick Telemetry.c_infer_summaries;
-      Check.Checker.check_fundef ~diags:scratch
-        ~exit_obs:(fun xi -> exits := xi :: !exits)
-        prog fs f;
-      (Diag.Collector.all scratch, List.rev !exits)
+      let diags =
+        Check.Checker.check_fundef
+          ~exit_obs:(fun xi -> exits := xi :: !exits)
+          prog fs f
+      in
+      (diags, List.rev !exits)
 
 (* Summaries of the CURRENT installed-signature state, by function name.
    Probing re-derives the baseline summary of a function for every

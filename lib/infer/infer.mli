@@ -54,7 +54,7 @@ val run :
   outcome
 (** Run inference over every defined function.  Mutates the program's
     symbol table: accepted annotations stay installed (marked inferred),
-    so a subsequent {!Check.Checker.check_program} checks against them.
+    so checking afterwards ({!Check.Checker.check_fundef}) sees them.
     [max_rounds] caps the per-component fixpoint iteration.
 
     Candidates come from {!Ranker.pipeline} over [rankers] (default

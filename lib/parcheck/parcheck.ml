@@ -20,7 +20,6 @@
     [Sref] intern tables) alive. *)
 
 module Diag = Cfront.Diag
-module Flags = Annot.Flags
 
 let default_jobs () = Domain.recommended_domain_count ()
 
@@ -230,20 +229,10 @@ let map_tasks ?(oversubscribe = false) ~jobs (n : int) (f : int -> 'a) :
 
 let check_program ?(jobs = 1) (prog : Sema.program) : Diag.t list =
   let fundefs = Array.of_list (Sema.fundefs prog) in
-  (* [+xproc]: derive the effect-summary table bottom-up over the call
-     graph BEFORE fanning out — the SCC fixpoint is inherently
-     sequential (callees before callers), and precomputing it leaves the
-     per-procedure tasks reading the finished table strictly read-only,
-     so the work-stealing schedule stays free to run procedures in any
-     order while every [-j] value consults identical summaries. *)
-  let summaries =
-    if prog.Sema.flags.Flags.xproc then Some (Summary.of_program prog)
-    else None
-  in
-  let check i =
-    let fs, f = fundefs.(i) in
-    let coll = Diag.Collector.create () in
-    Check.Checker.check_fundef ~diags:coll ?summaries prog fs f;
-    Diag.Collector.all coll
-  in
-  List.concat (Array.to_list (map_tasks ~jobs (Array.length fundefs) check))
+  (* [+xproc]: the summary table is finished before the fan-out, so the
+     tasks only read it and every [-j] consults identical summaries *)
+  let summaries = Check.Checker.summaries prog in
+  map_tasks ~jobs (Array.length fundefs) (fun i ->
+      let fs, f = fundefs.(i) in
+      Check.Checker.check_fundef ?summaries prog fs f)
+  |> Array.to_list |> List.concat

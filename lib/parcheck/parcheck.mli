@@ -45,6 +45,5 @@ val check_program : ?jobs:int -> Sema.program -> Cfront.Diag.t list
     concurrent domains and return the checker's diagnostics in
     deterministic order: by definition order ({!Sema.fundefs}), then
     by emission order within the procedure.  Frontend/sema diagnostics
-    already collected in the program are untouched (still in
-    [prog.diags]); combine and sort with
-    {!Cfront.Diag.Collector.sort_emission} for final output. *)
+    stay in [prog.diags]; {!Check.report} joins the two into the final
+    sorted, suppressed output. *)

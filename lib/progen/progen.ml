@@ -613,25 +613,15 @@ let generate ?(seed = 42) ?(modules = 4) ?(fns_per_module = 6)
 let analyse ?(flags = Annot.Flags.default) (p : program) : Sema.program =
   let prog = Stdspec.environment ~flags () in
   List.iter
-    (fun (name, text) ->
-      let typedefs =
-        Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs []
-      in
-      let tu = Cfront.Parser.parse_string ~typedefs ~file:name text in
-      ignore (Sema.analyze ~flags ~into:prog tu))
+    (fun (file, text) ->
+      ignore (Sema.analyze_string ~flags ~into:prog ~file text))
     p.files;
   prog
 
-(** Statically check a generated program; returns the kept reports. *)
+(** Statically check a generated program. *)
 let static_check ?(flags = Annot.Flags.default) (p : program) :
     Check.result =
-  let prog = analyse ~flags p in
-  Check.Checker.check_program prog;
-  let table, errs = Check.Suppress.of_pragmas prog.Sema.p_pragmas in
-  List.iter (Cfront.Diag.Collector.emit prog.Sema.diags) errs;
-  let all = Cfront.Diag.Collector.sorted prog.Sema.diags in
-  let kept, suppressed = Check.Suppress.filter table all in
-  { Check.program = prog; reports = kept; suppressed }
+  Check.run ~flags ~into:(Stdspec.environment ~flags ()) p.files
 
 (** Run a generated program under the run-time checker.  [max_steps]
     bounds execution (the fuzzer's [-timeout-steps]); [oom_fail] forces

@@ -100,11 +100,30 @@ let environment ?(flags = Annot.Flags.default) () : Sema.program =
   (* the standard library must itself be annotation-clean *)
   prog
 
+(** The environment user sources are analysed into: the standard library
+    (an empty program under [no_stdlib]), then each interface library
+    in [libs], then each LCL specification in [specs], all given as
+    (file name, text). *)
+let base_environment ?(flags = Annot.Flags.default) ?(no_stdlib = false)
+    ?(libs = []) ?(specs = []) () : Sema.program =
+  let prog =
+    if no_stdlib then Sema.create_program ~flags ~file:"<none>" ()
+    else environment ~flags ()
+  in
+  List.iter
+    (fun (file, text) ->
+      ignore (Check.Libspec.load ~flags ~into:prog ~file text))
+    libs;
+  List.iter
+    (fun (file, text) ->
+      ignore (Sema.analyze_spec_string ~flags ~into:prog ~file text))
+    specs;
+  prog
+
 (** Check a source string against the standard library (the common entry
-    point used by the examples, tests and the CLI). *)
+    point of the examples and tests). *)
 let check ?(flags = Annot.Flags.default) ~file src : Check.result =
-  let prog = environment ~flags () in
-  Check.run ~flags ~into:prog ~file src
+  Check.run ~flags ~into:(environment ~flags ()) [ (file, src) ]
 
 (* ------------------------------------------------------------------ *)
 (* The same library in LCL specification notation                      *)

@@ -15,9 +15,19 @@ val source : string
 val environment : ?flags:Annot.Flags.t -> unit -> Sema.program
 (** A program environment pre-loaded with the standard library. *)
 
+val base_environment :
+  ?flags:Annot.Flags.t -> ?no_stdlib:bool ->
+  ?libs:(string * string) list -> ?specs:(string * string) list -> unit ->
+  Sema.program
+(** The environment user sources are analysed into, as [olclint] and the
+    incremental service build it: {!environment} (an empty program when
+    [no_stdlib]), then each interface library of [libs]
+    ({!Check.Libspec.load}), then each LCL specification of [specs], all
+    given as (file name, text) pairs. *)
+
 val check : ?flags:Annot.Flags.t -> file:string -> string -> Check.result
-(** Parse and check a source string against the standard library — the
-    common entry point for examples, tests and the CLI. *)
+(** [Check.run] of one source string against the standard library — the
+    common entry point for examples and tests. *)
 
 val lcl_core : string
 (** The core of {!source} in the paper's LCL notation (bare-word

@@ -66,6 +66,15 @@ EOF
 [ $? -eq 1 ] || fail "-allimponly should surface the return transfer"
 expect_contains "$tmp/out" "Fresh storage p returned as unqualified result" "allimponly message"
 
+# the --flag help text's own spelling: a dash-led value after a separate
+# -f/--flag is the flag's value, not more options
+for spelling in "-f -allimponly" "--flag -allimponly"; do
+  # shellcheck disable=SC2086 # the spelling is two words on purpose
+  "$OLCLINT" $spelling "$tmp/ret.c" > "$tmp/out.sep" 2>&1
+  [ $? -eq 1 ] || fail "'$spelling' should exit 1 like -f=-allimponly"
+  cmp -s "$tmp/out" "$tmp/out.sep" || fail "'$spelling' output differs from -f=-allimponly"
+done
+
 "$OLCLINT" -f=-bogus "$tmp/clean.c" > "$tmp/out" 2>&1
 [ $? -eq 2 ] || fail "unknown flag should exit 2"
 

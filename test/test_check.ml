@@ -558,9 +558,13 @@ let test_check_against_lcl_library () =
      comment-notation one *)
   let flags = paper_flags in
   let prog = Stdspec.lcl_environment ~flags () in
-  let r = Check.run ~flags ~into:prog ~file:"t.c"
-      "void f(void) { char *p = (char *) malloc(4); if (p == NULL) { \
-       exit(1); } p[0] = 'a'; }"
+  let r =
+    Check.run ~flags ~into:prog
+      [
+        ( "t.c",
+          "void f(void) { char *p = (char *) malloc(4); if (p == NULL) { \
+           exit(1); } p[0] = 'a'; }" );
+      ]
   in
   Alcotest.(check (list string)) "leak found" [ "mustfree" ] (Check.codes r)
 
@@ -1251,10 +1255,10 @@ let long_main blocks =
    excluded), and its diagnostics as "line:code". *)
 let check_long_main blocks =
   let flags = Flags.default in
-  let prog = Stdspec.environment ~flags () in
-  let typedefs = Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs [] in
-  let tu = Cfront.Parser.parse_string ~typedefs ~file:"long.c" (long_main blocks) in
-  ignore (Sema.analyze ~flags ~into:prog tu);
+  let prog =
+    Sema.analyze_string ~flags ~into:(Stdspec.environment ~flags ())
+      ~file:"long.c" (long_main blocks)
+  in
   let before = Gc.allocated_bytes () in
   let diags = Parcheck.check_program ~jobs:1 prog in
   let words = (Gc.allocated_bytes () -. before) /. float (Sys.word_size / 8) in

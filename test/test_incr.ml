@@ -76,26 +76,11 @@ let render (oc : Service.outcome) =
   List.map Diag.to_string oc.Service.oc_kept
   @ List.map (fun d -> "sup:" ^ Diag.to_string d) oc.Service.oc_suppressed
 
-(* The cold CLI pipeline, for reference output: stdlib environment,
-   parse+sema each file, whole-program check, suppression split. *)
+(* The cold in-process pipeline, for reference output. *)
 let direct ?(flags = flags) files =
-  let env = Stdspec.environment ~flags () in
-  List.iter
-    (fun (name, text) ->
-      let typedefs =
-        Hashtbl.fold (fun k _ acc -> k :: acc) env.Sema.p_typedefs []
-      in
-      let tu = Cfront.Parser.parse_string ~typedefs ~file:name text in
-      ignore (Sema.analyze ~flags ~into:env tu))
-    files;
-  Check.Checker.check_program env;
-  let table, errs = Check.Suppress.of_pragmas env.Sema.p_pragmas in
-  let all =
-    Diag.Collector.sort_emission (Diag.Collector.all env.Sema.diags @ errs)
-  in
-  let kept, suppressed = Check.Suppress.filter table all in
-  List.map Diag.to_string kept
-  @ List.map (fun d -> "sup:" ^ Diag.to_string d) suppressed
+  let r = Check.run ~flags ~into:(Stdspec.environment ~flags ()) files in
+  List.map Diag.to_string r.Check.reports
+  @ List.map (fun d -> "sup:" ^ Diag.to_string d) r.Check.suppressed
 
 let tier = Alcotest.testable (Fmt.of_to_string Service.tier_name) ( = )
 

@@ -8,13 +8,8 @@ module Flags = Annot.Flags
 let default_flags = Flags.default
 
 let program ?(flags = default_flags) src =
-  let prog = Stdspec.environment ~flags () in
-  let typedefs =
-    Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs []
-  in
-  let tu = Cfront.Parser.parse_string ~typedefs ~file:"t.c" src in
-  ignore (Sema.analyze ~flags ~into:prog tu);
-  prog
+  Sema.analyze_string ~flags ~into:(Stdspec.environment ~flags ()) ~file:"t.c"
+    src
 
 (* The list_plain.c walkthrough (constructor, recursive destructor, the
    paper's list_addh, a client), annotations stripped. *)
@@ -173,21 +168,23 @@ let test_infer_mutual_fixpoint () =
     "free_b param" [ "null"; "only" ]
     (words outcome "free_b" (Infer.Sparam 0))
 
-let diag_count prog =
-  List.length (Cfront.Diag.Collector.all prog.Sema.diags)
+(* every diagnostic of a full check, suppressed ones included *)
+let check_diags prog =
+  let kept, suppressed = Check.report prog (Parcheck.check_program prog) in
+  kept @ suppressed
+
+let diag_count prog = List.length (check_diags prog)
 
 let test_infer_strictly_fewer_warnings () =
   (* the acceptance bar from the issue: +inferconstraints reports
      strictly fewer spurious warnings than the unannotated baseline *)
   let baseline =
     let prog = program plain_list_src in
-    Check.Checker.check_program prog;
     diag_count prog
   in
   let inferred =
     let prog = program plain_list_src in
     ignore (Infer.run prog);
-    Check.Checker.check_program prog;
     diag_count prog
   in
   Alcotest.(check bool)
@@ -198,8 +195,7 @@ let test_infer_strictly_fewer_warnings () =
 let test_infer_diags_stamped () =
   let prog = program plain_list_src in
   ignore (Infer.run prog);
-  Check.Checker.check_program prog;
-  let diags = Cfront.Diag.Collector.all prog.Sema.diags in
+  let diags = check_diags prog in
   Alcotest.(check bool) "some diagnostics remain" true (diags <> []);
   List.iter
     (fun (d : Cfront.Diag.t) ->
@@ -224,12 +220,10 @@ let test_infer_annotated_source_stable () =
   in
   let plain =
     let prog = program src in
-    Check.Checker.check_program prog;
     diag_count prog
   in
   let prog = program src in
   let outcome = Infer.run prog in
-  Check.Checker.check_program prog;
   Alcotest.(check int) "diagnostics unchanged" plain (diag_count prog);
   List.iter
     (fun (fd : Infer.finding) ->

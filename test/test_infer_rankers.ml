@@ -10,12 +10,8 @@ module Ranker = Infer.Ranker
 let analyze ?(flags = Flags.default) files =
   let prog = Stdspec.environment ~flags () in
   List.iter
-    (fun (name, text) ->
-      let typedefs =
-        Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs []
-      in
-      let tu = Cfront.Parser.parse_string ~typedefs ~file:name text in
-      ignore (Sema.analyze ~flags ~into:prog tu))
+    (fun (file, text) ->
+      ignore (Sema.analyze_string ~flags ~into:prog ~file text))
     files;
   prog
 
@@ -360,9 +356,8 @@ let fleet_files () =
     [ "fleet_pool.c"; "fleet_task.c"; "fleet_main.c" ]
 
 let check_diags files =
-  let prog = analyze files in
-  Check.Checker.check_program prog;
-  diag_strings (Cfront.Diag.Collector.all prog.Sema.diags)
+  let r = Check.run ~into:(Stdspec.environment ()) files in
+  diag_strings (r.Check.reports @ r.Check.suppressed)
 
 let test_bulk_round_trip () =
   let annotated = fleet_files () in

@@ -23,11 +23,25 @@ let lib_src =
 let flags = Flags.(allimponly_off default)
 
 let build_lib () =
-  let prog = Stdspec.environment ~flags () in
-  let typedefs = Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs [] in
-  let tu = Cfront.Parser.parse_string ~typedefs ~file:"node.c" lib_src in
-  ignore (Sema.analyze ~flags ~into:prog tu);
-  prog
+  Sema.analyze_string ~flags ~into:(Stdspec.environment ~flags ())
+    ~file:"node.c" lib_src
+
+(* the node library, dumped and loaded back into a fresh environment *)
+let modular_env () =
+  Stdspec.base_environment ~flags
+    ~libs:[ ("node.lh", Check.Libspec.save (build_lib ())) ]
+    ()
+
+(* the kept diagnostics of checking only [file]'s procedures *)
+let check_file env file =
+  fst
+    (Check.report env
+       (List.concat_map
+          (fun ((fs : Sema.funsig), def) ->
+            if fs.Sema.fs_loc.Cfront.Loc.file = file then
+              Check.Checker.check_fundef env fs def
+            else [])
+          (Sema.fundefs env)))
 
 let test_save_parses () =
   let prog = build_lib () in
@@ -83,24 +97,12 @@ let test_idempotent () =
   Alcotest.(check string) "fixpoint" (body text1) (body text2)
 
 let check_client client =
-  let env = Stdspec.environment ~flags () in
   let env =
-    Check.Libspec.load ~flags ~into:env ~file:"node.lh"
-      (Check.Libspec.save (build_lib ()))
+    Sema.analyze_string ~flags ~into:(modular_env ()) ~file:"client.c" client
   in
-  let typedefs = Hashtbl.fold (fun k _ acc -> k :: acc) env.Sema.p_typedefs [] in
-  let tu = Cfront.Parser.parse_string ~typedefs ~file:"client.c" client in
-  ignore (Sema.analyze ~flags ~into:env tu);
-  let before = List.length (Cfront.Diag.Collector.all env.Sema.diags) in
-  ignore before;
-  List.iter
-    (fun ((fs : Sema.funsig), def) ->
-      if fs.Sema.fs_loc.Cfront.Loc.file = "client.c" then
-        Check.Checker.check_fundef env fs def)
-    (Sema.fundefs env);
   List.map
     (fun (d : Cfront.Diag.t) -> d.Cfront.Diag.code)
-    (Cfront.Diag.Collector.sorted env.Sema.diags)
+    (check_file env "client.c")
 
 let test_modular_clean_client () =
   Alcotest.(check (list string)) "clean client" []
@@ -164,24 +166,15 @@ let test_modular_matches_inprocess () =
      = m; node_destroy(n); return node_value(n); }"
   in
   let client_codes env =
-    List.iter
-      (fun ((fs : Sema.funsig), def) ->
-        if fs.Sema.fs_loc.Cfront.Loc.file = "client.c" then
-          Check.Checker.check_fundef env fs def)
-      (Sema.fundefs env);
     List.filter_map
       (fun (d : Cfront.Diag.t) ->
         if d.Cfront.Diag.loc.Cfront.Loc.file = "client.c" then
           Some (d.Cfront.Diag.code, d.Cfront.Diag.loc.Cfront.Loc.line)
         else None)
-      (Cfront.Diag.Collector.sorted env.Sema.diags)
+      (check_file env "client.c")
   in
   let parse_into env file text =
-    let typedefs =
-      Hashtbl.fold (fun k _ acc -> k :: acc) env.Sema.p_typedefs []
-    in
-    let tu = Cfront.Parser.parse_string ~typedefs ~file text in
-    ignore (Sema.analyze ~flags ~into:env tu)
+    ignore (Sema.analyze_string ~flags ~into:env ~file text)
   in
   (* in-process: library source and client in one environment *)
   let whole = Stdspec.environment ~flags () in
@@ -189,12 +182,7 @@ let test_modular_matches_inprocess () =
   parse_into whole "client.c" client;
   let whole_codes = client_codes whole in
   (* modular: dumped library loaded, then the client *)
-  let modular =
-    Check.Libspec.load ~flags
-      ~into:(Stdspec.environment ~flags ())
-      ~file:"node.lh"
-      (Check.Libspec.save (build_lib ()))
-  in
+  let modular = modular_env () in
   parse_into modular "client.c" client;
   let modular_codes = client_codes modular in
   Alcotest.(check (list (pair string int)))

@@ -17,26 +17,29 @@ let examples =
     "../examples/sample.c";
   ]
 
-(* a fresh environment per run, so the runs share nothing *)
-let analyze_examples ?(flags = Annot.Flags.default) () =
+(* (file, text) sources analysed in order into a fresh environment, so
+   the runs share nothing *)
+let analyze ?(flags = Annot.Flags.default) sources =
   let prog = Stdspec.environment ~flags () in
   List.iter
-    (fun file ->
-      let typedefs =
-        Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs []
-      in
-      let tu = Cfront.Parser.parse_string ~typedefs ~file (read_file file) in
-      ignore (Sema.analyze ~flags ~into:prog tu))
-    examples;
+    (fun (file, text) ->
+      ignore (Sema.analyze_string ~flags ~into:prog ~file text))
+    sources;
   prog
 
-(* exactly the CLI's emission: frontend + check diagnostics, sorted *)
-let render prog check_diags =
+let analyze_examples ?flags () =
+  analyze ?flags (List.map (fun f -> (f, read_file f)) examples)
+
+(* a (kept, suppressed) split as [olclint -json] prints it *)
+let render_split (kept, suppressed) =
+  let json suppressed d =
+    Telemetry.Json.to_string (Cfront.Diag.to_json ~suppressed d)
+  in
   String.concat "\n"
-    (List.map
-       (fun d -> Telemetry.Json.to_string (Cfront.Diag.to_json d))
-       (Cfront.Diag.Collector.sort_emission
-          (Cfront.Diag.Collector.all prog.Sema.diags @ check_diags)))
+    (List.map (json false) kept @ List.map (json true) suppressed)
+
+(* the CLI's output step over [Parcheck.check_program]'s diagnostics *)
+let render prog check_diags = render_split (Check.report prog check_diags)
 
 let test_seq_vs_parallel () =
   let p1 = analyze_examples () in
@@ -182,28 +185,21 @@ let test_check_program_counters () =
 
 (* ---- block scope: checking is a function of (program, procedure) ---- *)
 
-let analyze_src ?(flags = Annot.Flags.default) src =
-  let prog = Stdspec.environment ~flags () in
-  ignore (Sema.analyze_string ~flags ~into:prog ~file:"block.c" src);
-  prog
+let analyze_src ?flags src = analyze ?flags [ ("block.c", src) ]
 
 (* the rendered diagnostics of every checking path over one source:
-   the sequential [Check.run], then the driver at -j 1 and -j 4 *)
+   the sequential [Check.run], then [Parcheck] at -j 1 and -j 4 *)
 let all_paths ?(flags = Annot.Flags.default) src =
-  let run =
-    Check.run ~flags ~into:(Stdspec.environment ~flags ()) ~file:"block.c" src
-  in
-  let driver jobs =
+  let run = Stdspec.check ~flags ~file:"block.c" src in
+  let parallel jobs =
     let p = analyze_src ~flags src in
     List.map Cfront.Diag.to_string
-      (Cfront.Diag.Collector.sort_emission
-         (Cfront.Diag.Collector.all p.Sema.diags
-         @ Parcheck.check_program ~jobs p))
+      (fst (Check.report p (Parcheck.check_program ~jobs p)))
   in
   [
     ("Check.run", List.map Cfront.Diag.to_string run.Check.reports);
-    ("-j 1", driver 1);
-    ("-j 4", driver 4);
+    ("-j 1", parallel 1);
+    ("-j 4", parallel 4);
   ]
 
 let occurrences needle lines =
@@ -313,10 +309,11 @@ let test_program_unchanged () =
   let flags = { Annot.Flags.default with Annot.Flags.loop_exec = true } in
   let sema_only = analyze_src ~flags src in
   let want = fingerprint sema_only in
-  let run =
-    Check.run ~flags ~into:(Stdspec.environment ~flags ()) ~file:"block.c" src
-  in
+  let run = Stdspec.check ~flags ~file:"block.c" src in
   Alcotest.(check string) "Check.run" want (fingerprint run.Check.program);
+  Alcotest.(check int) "Check.run: no new program diagnostics"
+    (Cfront.Diag.Collector.count sema_only.Sema.diags)
+    (Cfront.Diag.Collector.count run.Check.program.Sema.diags);
   let unchanged what (check : Sema.program -> unit) =
     let p = analyze_src ~flags src in
     let diags = Cfront.Diag.Collector.count p.Sema.diags in
@@ -328,6 +325,81 @@ let test_program_unchanged () =
   unchanged "-j 1" (fun p -> ignore (Parcheck.check_program ~jobs:1 p));
   unchanged "-j 4" (fun p -> ignore (Parcheck.check_program ~jobs:4 p));
   unchanged "Infer.run" (fun p -> ignore (Infer.run p))
+
+(* ---- one output: every entry point prints what olclint prints ---- *)
+
+let flag_sets =
+  [
+    ("default", Annot.Flags.default);
+    ("+loopexec", { Annot.Flags.default with Annot.Flags.loop_exec = true });
+    ( "+xproc +allocmodel",
+      {
+        Annot.Flags.default with
+        Annot.Flags.xproc = true;
+        Annot.Flags.alloc_model = true;
+      } );
+  ]
+
+(* every single-file input: the fleet example is one three-file program *)
+let single_file_inputs =
+  List.concat_map
+    (fun dir ->
+      Sys.readdir dir |> Array.to_list
+      |> List.filter (fun f ->
+             Filename.check_suffix f ".c"
+             && not (String.starts_with ~prefix:"fleet_" f))
+      |> List.sort compare
+      |> List.map (Filename.concat dir))
+    [ "../examples"; "regressions"; "../bench/svcomp" ]
+
+(* [entry]'s report against [Parcheck] at -j 1 and -j 4 and a cold
+   incremental-service check of the same sources *)
+let one_output ~flags ~what ~(entry : unit -> Check.result) sources =
+  let r = entry () in
+  let want = render_split (r.Check.reports, r.Check.suppressed) in
+  let parallel jobs =
+    let p = analyze ~flags sources in
+    render p (Parcheck.check_program ~jobs p)
+  in
+  let served =
+    match
+      Incr.Service.check
+        (Incr.Service.create ~flags ())
+        (List.map
+           (fun (doc_name, doc_text) -> { Incr.Service.doc_name; doc_text })
+           sources)
+    with
+    | Ok oc ->
+        render_split (oc.Incr.Service.oc_kept, oc.Incr.Service.oc_suppressed)
+    | Error d -> Alcotest.failf "%s: %s" what (Cfront.Diag.to_string d)
+  in
+  Alcotest.(check string) (what ^ ": -j 1") want (parallel 1);
+  Alcotest.(check string) (what ^ ": -j 4") want (parallel 4);
+  Alcotest.(check string) (what ^ ": service") want served
+
+let test_one_output_files (fname, flags) () =
+  Alcotest.(check bool) "inputs found" true
+    (List.length single_file_inputs > 20);
+  List.iter
+    (fun file ->
+      let src = read_file file in
+      one_output ~flags
+        ~what:(fname ^ " " ^ file)
+        ~entry:(fun () -> Stdspec.check ~flags ~file src)
+        [ (file, src) ])
+    single_file_inputs
+
+let test_one_output_progen () =
+  let p =
+    Progen.generate ~seed:23 ~modules:6 ~fns_per_module:8
+      ~bugs:Progen.all_bug_kinds ()
+  in
+  List.iter
+    (fun (fname, flags) ->
+      one_output ~flags ~what:fname
+        ~entry:(fun () -> Progen.static_check ~flags p)
+        p.Progen.files)
+    flag_sets
 
 let () =
   Alcotest.run "parcheck"
@@ -364,4 +436,14 @@ let () =
           Alcotest.test_case "program left unchanged" `Quick
             test_program_unchanged;
         ] );
+      ( "one output",
+        List.map
+          (fun ((fname, _) as fs) ->
+            Alcotest.test_case ("single files, " ^ fname) `Quick
+              (test_one_output_files fs))
+          flag_sets
+        @ [
+            Alcotest.test_case "progen corpus, all flag sets" `Quick
+              test_one_output_progen;
+          ] );
     ]

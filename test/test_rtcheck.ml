@@ -336,14 +336,9 @@ let run_db stage =
   let prog = Stdspec.environment ~flags () in
   List.iter
     (fun (f : Corpus.Employee_db.file) ->
-      let typedefs =
-        Hashtbl.fold (fun k _ acc -> k :: acc) prog.Sema.p_typedefs []
-      in
-      let tu =
-        Cfront.Parser.parse_string ~typedefs
-          ~file:f.Corpus.Employee_db.name f.Corpus.Employee_db.text
-      in
-      ignore (Sema.analyze ~flags ~into:prog tu))
+      ignore
+        (Sema.analyze_string ~flags ~into:prog ~file:f.Corpus.Employee_db.name
+           f.Corpus.Employee_db.text))
     (Corpus.Employee_db.stage stage);
   Rtcheck.run prog
 

@@ -10,13 +10,8 @@ module Flags = Annot.Flags
 let flags = Flags.default
 
 let program src =
-  let env = Stdspec.environment ~flags () in
-  let typedefs =
-    Hashtbl.fold (fun k _ acc -> k :: acc) env.Sema.p_typedefs []
-  in
-  let tu = Cfront.Parser.parse_string ~typedefs ~file:"s.c" src in
-  ignore (Sema.analyze ~flags ~into:env tu);
-  env
+  Sema.analyze_string ~flags ~into:(Stdspec.environment ~flags ()) ~file:"s.c"
+    src
 
 let summaries src = Summary.of_program (program src)
 
