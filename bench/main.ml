@@ -3,15 +3,16 @@
     recorded outcomes).
 
     Usage:
-    - [dune exec bench/main.exe]            — all experiment tables
+    - [dune exec bench/main.exe]            — every experiment
     - [dune exec bench/main.exe -- fig_sample sec6_employee ...] — a subset
-    - [dune exec bench/main.exe -- -seed 7 scale] — fix the Progen seed
-    - [dune exec bench/main.exe -- -baseline bench/store_ops_baseline.txt
-       scale] — fail (exit 3) if sequential store_ops regresses >10%
+    - [dune exec bench/main.exe -- -seed 7 loops] — fix the Progen seed
 
-    The paper's evaluation (Sections 6–7) reports numbers in prose rather
-    than numbered tables; each "experiment" below corresponds to one row of
-    DESIGN.md's experiment index. *)
+    An experiment whose gate fails exits 3.  The paper's evaluation
+    (Sections 6–7) reports numbers in prose rather than numbered tables;
+    each "experiment" below corresponds to one row of DESIGN.md's
+    experiment index.  Phase costs and throughput are not measured here:
+    [olclint -stats -timings] reports them for any run, and [e2ebench/]
+    times the real [olclint] path end to end. *)
 
 module Flags = Annot.Flags
 module E = Corpus.Employee_db
@@ -28,6 +29,25 @@ let time f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
+(* [f ()] with telemetry on and every counter zeroed; off and zeroed
+   again afterwards, so counters read inside [f] describe [f] alone *)
+let with_telemetry f =
+  Telemetry.reset ();
+  Telemetry.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.set_enabled false;
+      Telemetry.reset ())
+    f
+
+(* an experiment's JSON record, written to [file] in the working directory *)
+let write_bench file json =
+  let oc = open_out file in
+  output_string oc (Telemetry.Json.to_string json);
+  output_string oc "\n";
+  close_out oc;
+  row "\n  wrote %s\n" file
+
 (* (file, text) sources analysed in order over the standard library *)
 let analyze_files ~flags files =
   let prog = Stdspec.environment ~flags () in
@@ -39,11 +59,8 @@ let analyze_files ~flags files =
 
 (* [-seed N] threads a PRNG seed into every Progen corpus so generated
    programs (and BENCH_*.json derived from them) are reproducible
-   run-to-run; [-baseline FILE] makes the [scale] experiment fail when
-   the sequential store_ops count regresses >10% over a recorded
-   number (the CI gate). *)
+   run-to-run. *)
 let seed_flag = ref 42
-let baseline_flag : string option ref = ref None
 
 (* ------------------------------------------------------------------ *)
 (* F1-F4: the sample.c figures                                         *)
@@ -61,16 +78,20 @@ let fig_sample () =
     ]
   in
   row "  %-28s %-10s %-10s %s\n" "figure" "paper" "measured" "status";
-  List.iter
-    (fun (name, src, expected) ->
-      let r = Stdspec.check ~flags ~file:"sample.c" src in
-      let n = List.length r.Check.reports in
-      row "  %-28s %-10d %-10d %s\n" name expected n
-        (if n = expected then "ok" else "MISMATCH");
-      List.iter
-        (fun d -> row "      %s\n" (Cfront.Diag.to_string d))
-        r.Check.reports)
-    cases
+  let mismatches =
+    List.filter
+      (fun (name, src, expected) ->
+        let r = Stdspec.check ~flags ~file:"sample.c" src in
+        let n = List.length r.Check.reports in
+        row "  %-28s %-10d %-10d %s\n" name expected n
+          (if n = expected then "ok" else "MISMATCH");
+        List.iter
+          (fun d -> row "      %s\n" (Cfront.Diag.to_string d))
+          r.Check.reports;
+        n <> expected)
+      cases
+  in
+  if mismatches <> [] then exit 3
 
 (* ------------------------------------------------------------------ *)
 (* F5-F6: list_addh                                                    *)
@@ -82,13 +103,15 @@ let fig_listaddh () =
   let r = Stdspec.check ~flags ~file:"list.c" Corpus.Figures.fig5_list_addh in
   row "  paper: a kept/only confluence anomaly on e, and an incomplete\n";
   row "  definition reachable from the parameter (argl->next->next).\n";
-  row "  measured (%d anomalies):\n" (List.length r.Check.reports);
+  let n = List.length r.Check.reports in
+  row "  measured (%d anomalies, expected 2):\n" n;
   List.iter (fun d -> row "    %s\n" (Cfront.Diag.to_string d)) r.Check.reports;
   let r' =
     Stdspec.check ~flags ~file:"list.c" Corpus.Figures.fig5_list_addh_fixed
   in
-  row "  repaired version: %d anomalies (expected 0)\n"
-    (List.length r'.Check.reports)
+  let n' = List.length r'.Check.reports in
+  row "  repaired version: %d anomalies (expected 0)\n" n';
+  if n <> 2 || n' <> 0 then exit 3
 
 (* ------------------------------------------------------------------ *)
 (* E1: the Section 6 iteration                                         *)
@@ -389,28 +412,6 @@ let ablation () =
   row "  analysis); fig5/seeded count real anomalies found.\n"
 
 (* ------------------------------------------------------------------ *)
-(* E8: telemetry phase breakdown                                       *)
-(* ------------------------------------------------------------------ *)
-
-let phases () =
-  section "E8: pipeline phase breakdown (telemetry)";
-  row "  Where checking time goes, per phase, for the employee database\n";
-  row "  and a generated 3k-line program.  Written to BENCH_phases.json.\n\n";
-  Telemetry.reset ();
-  Telemetry.set_enabled true;
-  ignore (E.check ~flags:E.paper_flags E.max_stage);
-  let gen = Progen.generate ~seed:!seed_flag ~modules:8 ~fns_per_module:10 () in
-  ignore (Progen.static_check gen);
-  Format.printf "%a" Telemetry.pp_stats ();
-  let oc = open_out "BENCH_phases.json" in
-  output_string oc (Telemetry.Json.to_string (Telemetry.to_json ()));
-  output_string oc "\n";
-  close_out oc;
-  row "\n  wrote BENCH_phases.json\n";
-  Telemetry.set_enabled false;
-  Telemetry.reset ()
-
-(* ------------------------------------------------------------------ *)
 (* E9: annotation inference vs the hand annotations                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -667,181 +668,11 @@ let infer_exp () =
               ] );
         ])
   in
-  let oc = open_out "BENCH_infer.json" in
-  output_string oc (Telemetry.Json.to_string doc);
-  output_string oc "\n";
-  close_out oc;
-  row "\n  wrote BENCH_infer.json\n";
+  write_bench "BENCH_infer.json" doc;
   if !failures <> [] then begin
     List.iter (fun m -> row "  GATE FAILED: %s\n" m) (List.rev !failures);
     exit 3
   end
-
-(* ------------------------------------------------------------------ *)
-(* E10: multicore checking (parcheck scaling)                          *)
-(* ------------------------------------------------------------------ *)
-
-let read_baseline path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      match int_of_string_opt (String.trim (input_line ic)) with
-      | Some n -> n
-      | None ->
-          Printf.eprintf "scale: %s does not contain an integer baseline\n"
-            path;
-          exit 2)
-
-(* timed repetitions per configuration; the reported figure is the
-   minimum (the standard timeit discipline for sub-second measurements) *)
-let scale_reps = 9
-
-let scale () =
-  section "E10: multicore checking -- generated corpora at -j 1/2/4/8";
-  row "  Fixed-seed corpora (seed %d) of 10/50/200/9300 functions,\n"
-    !seed_flag;
-  row "  analysed once each and checked through the Parcheck\n";
-  row "  work-stealing domain pool (one task per procedure).  Each\n";
-  row "  configuration does one warm-up run (parks the pool domains)\n";
-  row "  and then reports the minimum of %d timed runs.  Diagnostics\n"
-    scale_reps;
-  row "  must be identical at every job count; wall-clock, store_ops,\n";
-  row "  task/steal counts and speedup are written to BENCH_scale.json.\n";
-  row "  (this machine reports %d available core%s; speedup above 1x needs\n"
-    (Domain.recommended_domain_count ())
-    (if Domain.recommended_domain_count () = 1 then "" else "s");
-  row "  more than one)\n\n";
-  let sizes = [ (2, 5); (10, 5); (20, 10); (150, 62) ] in
-  let jobs_list = [ 1; 2; 4; 8 ] in
-  row "  %9s %5s %10s %12s %10s %6s %7s %9s\n" "functions" "jobs" "time"
-    "store_ops" "elided" "tasks" "steals" "speedup";
-  let records = ref [] in
-  (* sequential store_ops on the largest corpus: the CI regression gate *)
-  let seq_store_ops = ref 0 in
-  List.iter
-    (fun (modules, fns) ->
-      let functions = modules * fns in
-      let p =
-        Progen.generate ~seed:!seed_flag ~modules ~fns_per_module:fns ()
-      in
-      (* one analysed program shared by every job count:
-         [check_program] only reads it, so every configuration
-         traverses identical memory and the timings differ only by job
-         count *)
-      let prog = Progen.analyse p in
-      let tasks = List.length (Sema.fundefs prog) in
-      (* one warm-up pass per job count (parks the pool domains);
-         counters are read from it so they describe exactly one full
-         check *)
-      let measured =
-        List.map
-          (fun jobs ->
-            Telemetry.reset ();
-            Telemetry.set_enabled true;
-            let diags = Parcheck.check_program ~jobs prog in
-            let ops = Telemetry.Counter.value Telemetry.c_store_ops in
-            let elided =
-              Telemetry.Counter.value Telemetry.c_store_ops_elided
-            in
-            let steals = Telemetry.Counter.value Telemetry.c_tasks_stolen in
-            Telemetry.set_enabled false;
-            Telemetry.reset ();
-            let rendered =
-              List.map Cfront.Diag.to_string
-                (Cfront.Diag.Collector.sort_emission diags)
-            in
-            (jobs, ops, elided, steals, rendered, ref infinity))
-          jobs_list
-      in
-      (match measured with
-      | (_, _, _, _, reference, _) :: rest ->
-          List.iter
-            (fun (jobs, _, _, _, rendered, _) ->
-              if rendered <> reference then (
-                Printf.eprintf
-                  "scale: -j %d diagnostics differ from -j 1 on the \
-                   %d-function corpus\n"
-                  jobs functions;
-                exit 3))
-            rest
-      | [] -> ());
-      (* minimum over interleaved timed rounds (timeit-style):
-         steady-state cost, not domain-spawn noise.  The starting
-         configuration rotates each round so no configuration is
-         systematically measured first (or right after) any other *)
-      Gc.compact ();
-      let marr = Array.of_list measured in
-      let nconf = Array.length marr in
-      for r = 0 to scale_reps - 1 do
-        for i = 0 to nconf - 1 do
-          let jobs, _, _, _, _, dt = marr.((i + r) mod nconf) in
-          (* every sample starts from the same GC state: without this,
-             whichever configuration inherits the previous one's major
-             heap debt pays its collection slice *)
-          Gc.full_major ();
-          let _, d = time (fun () -> Parcheck.check_program ~jobs prog) in
-          if d < !dt then dt := d
-        done
-      done;
-      let t1 = ref 0.0 in
-      List.iter
-        (fun (jobs, ops, elided, steals, rendered, dt) ->
-          let dt = !dt in
-          if jobs = 1 then (
-            t1 := dt;
-            seq_store_ops := ops);
-          let speedup = if dt > 0.0 then !t1 /. dt else 1.0 in
-          row "  %9d %5d %9.3fs %12d %10d %6d %7d %8.2fx\n" functions jobs
-            dt ops elided tasks steals speedup;
-          records :=
-            Telemetry.Json.(
-              Obj
-                [
-                  ("functions", Int functions);
-                  ("jobs", Int jobs);
-                  ("seconds", Float dt);
-                  ("store_ops", Int ops);
-                  ("store_ops_elided", Int elided);
-                  ("tasks", Int tasks);
-                  ("steals", Int steals);
-                  ("diagnostics", Int (List.length rendered));
-                  ("speedup_vs_j1", Float speedup);
-                ])
-            :: !records)
-        measured)
-    sizes;
-  let doc =
-    Telemetry.Json.(
-      Obj
-        [
-          ("experiment", String "scale");
-          ("seed", Int !seed_flag);
-          ("cores", Int (Domain.recommended_domain_count ()));
-          ("sequential_store_ops", Int !seq_store_ops);
-          ("rows", List (List.rev !records));
-        ])
-  in
-  let oc = open_out "BENCH_scale.json" in
-  output_string oc (Telemetry.Json.to_string doc);
-  output_string oc "\n";
-  close_out oc;
-  row "\n  wrote BENCH_scale.json\n";
-  match !baseline_flag with
-  | None -> ()
-  | Some path ->
-      let baseline = read_baseline path in
-      (* >10% more sequential store operations than the recorded number
-         means the hot path got slower; fail so CI catches it *)
-      if !seq_store_ops * 10 > baseline * 11 then (
-        Printf.eprintf
-          "scale: sequential store_ops %d regressed >10%% over baseline %d \
-           (%s)\n"
-          !seq_store_ops baseline path;
-        exit 3)
-      else
-        row "  store_ops %d within 10%% of baseline %d (%s)\n" !seq_store_ops
-          baseline path
 
 (* ------------------------------------------------------------------ *)
 (* E11: the differential soundness oracle                              *)
@@ -856,14 +687,14 @@ let difftest_exp () =
   row "  error has a static witness unless its class is a declared blind\n";
   row "  spot (footnote 8 / Section 7).  Written to BENCH_difftest.json.\n\n";
   let trials = List.init 48 (fun i -> Difftest.trial_of_seed (!seed_flag + i)) in
-  Telemetry.reset ();
-  Telemetry.set_enabled true;
   let jobs = min 4 (Parcheck.default_jobs ()) in
-  let outs, dt = time (fun () -> Difftest.sweep ~jobs trials) in
-  let n_trials = Telemetry.Counter.value Telemetry.c_difftest_trials in
-  let n_findings = Telemetry.Counter.value Telemetry.c_difftest_findings in
-  Telemetry.set_enabled false;
-  Telemetry.reset ();
+  let (outs, dt), n_trials, n_findings =
+    with_telemetry (fun () ->
+        let r = time (fun () -> Difftest.sweep ~jobs trials) in
+        Telemetry.Counter.
+          (r, value Telemetry.c_difftest_trials,
+           value Telemetry.c_difftest_findings))
+  in
   let all_findings =
     List.concat_map
       (fun (o : Difftest.outcome) ->
@@ -951,11 +782,7 @@ let difftest_exp () =
           ("findings", List (List.map finding_json all_findings));
         ])
   in
-  let oc = open_out "BENCH_difftest.json" in
-  output_string oc (Telemetry.Json.to_string doc);
-  output_string oc "\n";
-  close_out oc;
-  row "\n  wrote BENCH_difftest.json\n";
+  write_bench "BENCH_difftest.json" doc;
   (* the CI gate: any non-blind-spot divergence fails the sweep *)
   if gaps <> [] then begin
     List.iter
@@ -966,22 +793,18 @@ let difftest_exp () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* E12: loop fixpoint mode (+loopexec)                                 *)
+(* E12/E17: a mode that recovers a family of excused blind spots       *)
 (* ------------------------------------------------------------------ *)
 
-(* A loop-heavy trial mix: every seeded bug is loop-carried, every
-   fourth trial is clean (probing +loopexec for precision regressions),
-   and driver coverage is full so the carriers always execute. *)
-let loop_trial seed =
-  let kinds =
-    [|
-      Progen.Bloop_leak; Progen.Bloop_use_after_free; Progen.Bloop_null_deref;
-    |]
-  in
+(* A trial mix for one family of carrier bug kinds: every fourth seed is
+   a clean precision trial, the others seed up to two kinds from
+   [kinds], and driver coverage is full so the carriers always
+   execute. *)
+let carrier_trial kinds seed =
+  let n = Array.length kinds in
   let bugs =
     if seed mod 4 = 0 then []
-    else
-      List.sort_uniq compare [ kinds.(seed mod 3); kinds.(seed / 3 mod 3) ]
+    else List.sort_uniq compare [ kinds.(seed mod n); kinds.(seed / n mod n) ]
   in
   {
     Difftest.t_seed = seed;
@@ -991,6 +814,122 @@ let loop_trial seed =
     t_coverage = 1.0;
     t_max_steps = 200_000;
   }
+
+(* The same 48 trials swept under default flags and under [+mode]
+   ([flags]).  The default mode excuses the [prefix]* divergences as
+   declared blind spots; the mode must witness them statically.  Prints
+   and writes BENCH_[name].json with the per-class divergences, static
+   reports, gaps and the [counters] read over each sweep.  The gate
+   (exit 3): at least 3 divergences eliminated, none left under the
+   mode, and no gap or precision regression under either sweep (the
+   clean trials included). *)
+let compare_modes ~name ~mode ~flags ~prefix ~counters ~trial =
+  let trials = List.init 48 (fun i -> trial (!seed_flag + i)) in
+  let jobs = min 4 (Parcheck.default_jobs ()) in
+  let sweep flags =
+    with_telemetry (fun () ->
+        let outs, dt = time (fun () -> Difftest.sweep ~jobs ~flags trials) in
+        let spots =
+          List.concat_map
+            (fun (o : Difftest.outcome) ->
+              List.filter
+                (fun (f : Difftest.finding) ->
+                  String.starts_with ~prefix f.Difftest.f_class)
+                o.Difftest.o_verdict.Difftest.v_findings)
+            outs
+        in
+        let reports =
+          List.fold_left
+            (fun acc (o : Difftest.outcome) ->
+              acc + o.Difftest.o_verdict.Difftest.v_static_reports)
+            0 outs
+        in
+        let values =
+          List.map
+            (fun c -> (Telemetry.Counter.name c, Telemetry.Counter.value c))
+            counters
+        in
+        (spots, reports, Difftest.gaps outs, dt, values))
+  in
+  let ((spots_d, _, gaps_d, _, _) as d) = sweep Flags.default in
+  let ((spots_m, _, gaps_m, _, _) as m) = sweep flags in
+  let eliminated = List.length spots_d - List.length spots_m in
+  let classes =
+    List.sort_uniq compare
+      (List.map (fun (f : Difftest.finding) -> f.Difftest.f_class)
+         (spots_d @ spots_m))
+  in
+  row "  %-24s %10s %10s\n" (prefix ^ "* class") "default" ("+" ^ mode);
+  let class_rows =
+    List.map
+      (fun cls ->
+        let n spots =
+          List.length
+            (List.filter
+               (fun (f : Difftest.finding) -> f.Difftest.f_class = cls)
+               spots)
+        in
+        row "  %-24s %10d %10d\n" cls (n spots_d) (n spots_m);
+        Telemetry.Json.(
+          Obj
+            [
+              ("class", String cls);
+              ("default_divergences", Int (n spots_d));
+              (mode ^ "_divergences", Int (n spots_m));
+            ]))
+      classes
+  in
+  let report label (spots, reports, gaps, dt, values) =
+    row "  %-10s %d %s* divergences, %d static reports, %d gaps, %.1fs\n"
+      (label ^ ":") (List.length spots) prefix reports (List.length gaps) dt;
+    row "  %-10s %s\n" ""
+      (String.concat ", "
+         (List.map (fun (k, v) -> Printf.sprintf "%s %d" k v) values));
+    Telemetry.Json.(
+      Obj
+        ([
+           ("seconds", Float dt);
+           ("static_reports", Int reports);
+           ("divergences", Int (List.length spots));
+           ("gaps", Int (List.length gaps));
+         ]
+        @ Stdlib.List.map (fun (k, v) -> (k, Int v)) values))
+  in
+  row "\n";
+  let d_json = report "default" d in
+  let m_json = report ("+" ^ mode) m in
+  row "  %d %s* divergences eliminated by +%s\n" eliminated prefix mode;
+  write_bench
+    (Printf.sprintf "BENCH_%s.json" name)
+    Telemetry.Json.(
+      Obj
+        [
+          ("experiment", String name);
+          ("seed", Int !seed_flag);
+          ("trials", Int (Stdlib.List.length trials));
+          ("jobs", Int jobs);
+          ("default", d_json);
+          (mode, m_json);
+          ("eliminated", Int eliminated);
+          ("per_class", List class_rows);
+        ]);
+  let failures =
+    (if eliminated < 3 then
+       [ Printf.sprintf "only %d %s* divergences eliminated (want >= 3)"
+           eliminated prefix ]
+     else [])
+    @ List.map
+        (fun f -> Fmt.str "survives +%s: %a" mode Difftest.pp_finding f)
+        spots_m
+    @ List.map
+        (fun f -> Fmt.str "gap under +%s: %a" mode Difftest.pp_finding f)
+        gaps_m
+    @ List.map
+        (fun f -> Fmt.str "gap under default: %a" Difftest.pp_finding f)
+        gaps_d
+  in
+  List.iter (fun m -> Printf.eprintf "%s: %s\n" name m) failures;
+  if failures <> [] then exit 3
 
 let loops_exp () =
   section "E12: loop fixpoint mode -- default heuristic vs +loopexec";
@@ -1001,182 +940,18 @@ let loops_exp () =
   row "  the fixpoint must witness them statically -- no remaining\n";
   row "  loop-* divergences, no new gaps, no precision loss on the\n";
   row "  clean trials.  Written to BENCH_loops.json.\n\n";
-  let trials = List.init 48 (fun i -> loop_trial (!seed_flag + i)) in
-  let jobs = min 4 (Parcheck.default_jobs ()) in
-  let loopexec_flags =
-    { Annot.Flags.default with Annot.Flags.loop_exec = true }
-  in
-  let loop_findings outs =
-    List.concat_map
-      (fun (o : Difftest.outcome) ->
-        List.filter_map
-          (fun (f : Difftest.finding) ->
-            if
-              String.length f.Difftest.f_class >= 5
-              && String.sub f.Difftest.f_class 0 5 = "loop-"
-            then Some (o.Difftest.o_trial.Difftest.t_seed, f)
-            else None)
-          o.Difftest.o_verdict.Difftest.v_findings)
-      outs
-  in
-  let static_reports outs =
-    List.fold_left
-      (fun acc (o : Difftest.outcome) ->
-        acc + o.Difftest.o_verdict.Difftest.v_static_reports)
-      0 outs
-  in
-  let read_loop_counters () =
-    Telemetry.Counter.
-      ( value Telemetry.c_loop_fixpoint_iters,
-        value Telemetry.c_loop_widenings,
-        value Telemetry.c_loop_bailouts )
-  in
-  Telemetry.reset ();
-  Telemetry.set_enabled true;
-  let outs_d, dt_d = time (fun () -> Difftest.sweep ~jobs trials) in
-  let d_iters, d_widen, d_bail = read_loop_counters () in
-  Telemetry.reset ();
-  let outs_l, dt_l =
-    time (fun () -> Difftest.sweep ~jobs ~flags:loopexec_flags trials)
-  in
-  let l_iters, l_widen, l_bail = read_loop_counters () in
-  Telemetry.set_enabled false;
-  Telemetry.reset ();
-  let loops_d = loop_findings outs_d and loops_l = loop_findings outs_l in
-  let eliminated = List.length loops_d - List.length loops_l in
-  let reports_d = static_reports outs_d
-  and reports_l = static_reports outs_l in
-  let gaps_d = Difftest.gaps outs_d and gaps_l = Difftest.gaps outs_l in
-  let classes =
-    List.sort_uniq compare
-      (List.map (fun (_, (f : Difftest.finding)) -> f.Difftest.f_class)
-         (loops_d @ loops_l))
-  in
-  row "  %-22s %10s %10s\n" "loop-carried class" "default" "+loopexec";
-  let class_rows =
-    List.map
-      (fun cls ->
-        let n outs =
-          List.length
-            (List.filter
-               (fun (_, (f : Difftest.finding)) -> f.Difftest.f_class = cls)
-               outs)
-        in
-        let d = n loops_d and l = n loops_l in
-        row "  %-22s %10d %10d\n" cls d l;
-        Telemetry.Json.(
-          Obj
-            [
-              ("class", String cls);
-              ("default_divergences", Int d);
-              ("loopexec_divergences", Int l);
-            ]))
-      classes
-  in
-  row "\n  default:   %d loop-carried divergences excused, %d static\n"
-    (List.length loops_d) reports_d;
-  row "  reports, %.1fs; fixpoint counters %d/%d/%d (iters/widenings/\n"
-    dt_d d_iters d_widen d_bail;
-  row "  bailouts, all 0 by construction)\n";
-  row "  +loopexec: %d loop-carried divergences remain, %d static\n"
-    (List.length loops_l) reports_l;
-  row "  reports, %.1fs; %d fixpoint iterations, %d widenings, %d\n" dt_l
-    l_iters l_widen l_bail;
-  row "  bailouts\n";
-  row "  %d loop-carried divergences eliminated by +loopexec\n" eliminated;
-  let doc =
-    Telemetry.Json.(
-      Obj
-        [
-          ("experiment", String "loops");
-          ("seed", Int !seed_flag);
-          ("trials", Int (List.length trials));
-          ("jobs", Int jobs);
-          ( "default",
-            Obj
-              [
-                ("seconds", Float dt_d);
-                ("static_reports", Int reports_d);
-                ("loop_divergences", Int (List.length loops_d));
-                ("gaps", Int (List.length gaps_d));
-                ("loop_fixpoint_iters", Int d_iters);
-                ("loop_widenings", Int d_widen);
-                ("loop_bailouts", Int d_bail);
-              ] );
-          ( "loopexec",
-            Obj
-              [
-                ("seconds", Float dt_l);
-                ("static_reports", Int reports_l);
-                ("loop_divergences", Int (List.length loops_l));
-                ("gaps", Int (List.length gaps_l));
-                ("loop_fixpoint_iters", Int l_iters);
-                ("loop_widenings", Int l_widen);
-                ("loop_bailouts", Int l_bail);
-              ] );
-          ("eliminated", Int eliminated);
-          ("per_class", List class_rows);
-        ])
-  in
-  let oc = open_out "BENCH_loops.json" in
-  output_string oc (Telemetry.Json.to_string doc);
-  output_string oc "\n";
-  close_out oc;
-  row "\n  wrote BENCH_loops.json\n";
-  (* the CI gate: +loopexec must eliminate at least 3 loop-carried
-     divergences, leave none behind, and introduce no gap or precision
-     regression anywhere (the clean trials included) *)
-  let fail fmt = Printf.eprintf fmt in
-  let bad = ref false in
-  if eliminated < 3 then begin
-    fail "loops: only %d loop-carried divergences eliminated (want >= 3)\n"
-      eliminated;
-    bad := true
-  end;
-  if loops_l <> [] then begin
-    fail "loops: %d loop-carried divergences survive +loopexec\n"
-      (List.length loops_l);
-    bad := true
-  end;
-  List.iter
-    (fun (f : Difftest.finding) ->
-      fail "loops (+loopexec): %s\n" (Fmt.str "%a" Difftest.pp_finding f);
-      bad := true)
-    gaps_l;
-  List.iter
-    (fun (f : Difftest.finding) ->
-      fail "loops (default): %s\n" (Fmt.str "%a" Difftest.pp_finding f);
-      bad := true)
-    gaps_d;
-  if !bad then exit 3
-
-(* ------------------------------------------------------------------ *)
-(* E17: interprocedural effect summaries (+xproc)                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Cross-function sweep: every seeded bug hides its release/escape in a
-   locally unannotated helper; every 4th seed is a clean precision
-   trial.  The carrier mix cycles through all four xproc kinds. *)
-let xproc_trial seed =
-  let kinds =
-    [|
-      Progen.Bxproc_callee_free; Progen.Bxproc_callee_free_df;
-      Progen.Bxproc_cond_release; Progen.Bxproc_escape_store;
-    |]
-  in
-  let bugs =
-    if seed mod 4 = 0 then []
-    else
-      List.sort_uniq compare [ kinds.(seed mod 4); kinds.(seed / 4 mod 4) ]
-  in
-  {
-    Difftest.t_seed = seed;
-    t_modules = 2 + (seed mod 3);
-    t_fns = 2 + (seed mod 2);
-    t_bugs = bugs;
-    t_coverage = 1.0;
-    t_max_steps = 200_000;
-  }
+  compare_modes ~name:"loops" ~mode:"loopexec"
+    ~flags:{ Flags.default with Flags.loop_exec = true }
+    ~prefix:"loop-"
+    ~counters:
+      Telemetry.
+        [ c_loop_fixpoint_iters; c_loop_widenings; c_loop_bailouts ]
+    ~trial:
+      (carrier_trial
+         [|
+           Progen.Bloop_leak; Progen.Bloop_use_after_free;
+           Progen.Bloop_null_deref;
+         |])
 
 let xproc_exp () =
   section "E17: interprocedural effect summaries -- default vs +xproc";
@@ -1188,168 +963,21 @@ let xproc_exp () =
   row "  summaries must witness them statically -- no remaining xproc-*\n";
   row "  divergences, no new gaps, no precision loss on the clean\n";
   row "  trials.  Written to BENCH_xproc.json.\n\n";
-  let trials = List.init 48 (fun i -> xproc_trial (!seed_flag + i)) in
-  let jobs = min 4 (Parcheck.default_jobs ()) in
-  let xproc_flags = { Annot.Flags.default with Annot.Flags.xproc = true } in
-  let xproc_findings outs =
-    List.concat_map
-      (fun (o : Difftest.outcome) ->
-        List.filter_map
-          (fun (f : Difftest.finding) ->
-            if
-              String.length f.Difftest.f_class >= 6
-              && String.sub f.Difftest.f_class 0 6 = "xproc-"
-            then Some (o.Difftest.o_trial.Difftest.t_seed, f)
-            else None)
-          o.Difftest.o_verdict.Difftest.v_findings)
-      outs
-  in
-  let static_reports outs =
-    List.fold_left
-      (fun acc (o : Difftest.outcome) ->
-        acc + o.Difftest.o_verdict.Difftest.v_static_reports)
-      0 outs
-  in
-  let read_summary_counters () =
-    Telemetry.Counter.
-      ( value Telemetry.c_summary_funcs,
-        value Telemetry.c_summary_rounds,
-        value Telemetry.c_summary_top,
-        value Telemetry.c_summary_consults,
-        value Telemetry.c_summary_clashes )
-  in
-  Telemetry.reset ();
-  Telemetry.set_enabled true;
-  let outs_d, dt_d = time (fun () -> Difftest.sweep ~jobs trials) in
-  let d_funcs, d_rounds, d_top, d_consults, d_clashes =
-    read_summary_counters ()
-  in
-  Telemetry.reset ();
-  let outs_x, dt_x =
-    time (fun () -> Difftest.sweep ~jobs ~flags:xproc_flags trials)
-  in
-  let x_funcs, x_rounds, x_top, x_consults, x_clashes =
-    read_summary_counters ()
-  in
-  Telemetry.set_enabled false;
-  Telemetry.reset ();
-  let spots_d = xproc_findings outs_d and spots_x = xproc_findings outs_x in
-  let eliminated = List.length spots_d - List.length spots_x in
-  let reports_d = static_reports outs_d
-  and reports_x = static_reports outs_x in
-  let gaps_d = Difftest.gaps outs_d and gaps_x = Difftest.gaps outs_x in
-  let classes =
-    List.sort_uniq compare
-      (List.map (fun (_, (f : Difftest.finding)) -> f.Difftest.f_class)
-         (spots_d @ spots_x))
-  in
-  row "  %-24s %10s %10s\n" "cross-function class" "default" "+xproc";
-  let class_rows =
-    List.map
-      (fun cls ->
-        let n outs =
-          List.length
-            (List.filter
-               (fun (_, (f : Difftest.finding)) -> f.Difftest.f_class = cls)
-               outs)
-        in
-        let d = n spots_d and x = n spots_x in
-        row "  %-24s %10d %10d\n" cls d x;
-        Telemetry.Json.(
-          Obj
-            [
-              ("class", String cls);
-              ("default_divergences", Int d);
-              ("xproc_divergences", Int x);
-            ]))
-      classes
-  in
-  row "\n  default: %d cross-function divergences excused, %d static\n"
-    (List.length spots_d) reports_d;
-  row "  reports, %.1fs; summary counters %d/%d/%d/%d/%d (funcs/rounds/\n"
-    dt_d d_funcs d_rounds d_top d_consults d_clashes;
-  row "  top/consults/clashes, all 0 by construction)\n";
-  row "  +xproc:  %d cross-function divergences remain, %d static\n"
-    (List.length spots_x) reports_x;
-  row "  reports, %.1fs; %d functions summarized in %d rounds, %d sent\n"
-    dt_x x_funcs x_rounds x_top;
-  row "  to top, %d call-site consults, %d interface clashes\n" x_consults
-    x_clashes;
-  row "  %d cross-function divergences eliminated by +xproc\n" eliminated;
-  let doc =
-    Telemetry.Json.(
-      Obj
+  compare_modes ~name:"xproc" ~mode:"xproc"
+    ~flags:{ Flags.default with Flags.xproc = true }
+    ~prefix:"xproc-"
+    ~counters:
+      Telemetry.
         [
-          ("experiment", String "xproc");
-          ("seed", Int !seed_flag);
-          ("trials", Int (List.length trials));
-          ("jobs", Int jobs);
-          ( "default",
-            Obj
-              [
-                ("seconds", Float dt_d);
-                ("static_reports", Int reports_d);
-                ("xproc_divergences", Int (List.length spots_d));
-                ("gaps", Int (List.length gaps_d));
-                ("summary_funcs", Int d_funcs);
-                ("summary_rounds", Int d_rounds);
-                ("summary_top", Int d_top);
-                ("summary_consults", Int d_consults);
-                ("summary_clashes", Int d_clashes);
-              ] );
-          ( "xproc",
-            Obj
-              [
-                ("seconds", Float dt_x);
-                ("static_reports", Int reports_x);
-                ("xproc_divergences", Int (List.length spots_x));
-                ("gaps", Int (List.length gaps_x));
-                ("summary_funcs", Int x_funcs);
-                ("summary_rounds", Int x_rounds);
-                ("summary_top", Int x_top);
-                ("summary_consults", Int x_consults);
-                ("summary_clashes", Int x_clashes);
-              ] );
-          ("eliminated", Int eliminated);
-          ("per_class", List class_rows);
-        ])
-  in
-  let oc = open_out "BENCH_xproc.json" in
-  output_string oc (Telemetry.Json.to_string doc);
-  output_string oc "\n";
-  close_out oc;
-  row "\n  wrote BENCH_xproc.json\n";
-  (* the CI gate: +xproc must eliminate at least 3 cross-function
-     divergences, leave none behind, and introduce no gap or precision
-     regression anywhere (the clean trials included) *)
-  let fail fmt = Printf.eprintf fmt in
-  let bad = ref false in
-  if eliminated < 3 then begin
-    fail "xproc: only %d cross-function divergences eliminated (want >= 3)\n"
-      eliminated;
-    bad := true
-  end;
-  if spots_x <> [] then begin
-    fail "xproc: %d cross-function divergences survive +xproc\n"
-      (List.length spots_x);
-    bad := true
-  end;
-  List.iter
-    (fun ((_ : int), (f : Difftest.finding)) ->
-      fail "xproc (+xproc): %s\n" (Fmt.str "%a" Difftest.pp_finding f);
-      bad := true)
-    spots_x;
-  List.iter
-    (fun (f : Difftest.finding) ->
-      fail "xproc (+xproc): %s\n" (Fmt.str "%a" Difftest.pp_finding f);
-      bad := true)
-    gaps_x;
-  List.iter
-    (fun (f : Difftest.finding) ->
-      fail "xproc (default): %s\n" (Fmt.str "%a" Difftest.pp_finding f);
-      bad := true)
-    gaps_d;
-  if !bad then exit 3
+          c_summary_funcs; c_summary_rounds; c_summary_top;
+          c_summary_consults; c_summary_clashes;
+        ]
+    ~trial:
+      (carrier_trial
+         [|
+           Progen.Bxproc_callee_free; Progen.Bxproc_callee_free_df;
+           Progen.Bxproc_cond_release; Progen.Bxproc_escape_store;
+         |])
 
 (* ------------------------------------------------------------------ *)
 (* E13: incremental checking service                                   *)
@@ -1438,8 +1066,6 @@ let incr_exp () =
   let expect_same what a b =
     if a <> b then fail "%s diagnostics differ" what
   in
-  let functions = modules * (fns_per_module + 10) in
-  ignore functions;
   row "  corpus: %d modules, %d lines, seed %d, flags +loopexec\n\n" modules
     p.Progen.loc !seed_flag;
   row "  %-34s %5s %10s %9s %9s\n" "request" "jobs" "time" "tier" "recheck";
@@ -1469,8 +1095,8 @@ let incr_exp () =
   row "  warm re-check speedup over cold: %.0fx\n\n" speedup;
   if speedup <= 100.0 then
     fail "warm re-check only %.1fx faster than cold (want >100x)" speedup;
-  (* -j 4: same requests through the domain pool, byte-identical
-     output (forced to 4 domains even on one core, like E10) *)
+  (* -j 4: same requests through the domain pool (clamped to the core
+     count), byte-identical output *)
   let jobs = 4 in
   let svc4 = Incr.Service.create ~flags () in
   let oc_cold4, t_cold4 = time (fun () -> run ~jobs svc4 files0) in
@@ -1541,16 +1167,8 @@ let incr_exp () =
           ("warm_j4_seconds", Float t_warm4);
         ])
   in
-  let oc = open_out "BENCH_incr.json" in
-  output_string oc (Telemetry.Json.to_string doc);
-  output_string oc "\n";
-  close_out oc;
-  row "\n  wrote BENCH_incr.json\n";
+  write_bench "BENCH_incr.json" doc;
   if !bad then exit 3
-
-(* ------------------------------------------------------------------ *)
-(* Driver                                                              *)
-(* ------------------------------------------------------------------ *)
 
 (* ------------------------------------------------------------------ *)
 (* E14: OOM fault-injection sweep                                      *)
@@ -1594,19 +1212,19 @@ let oom_exp () =
   row "  must clear the realloc-lost excuses by witnessing them\n";
   row "  statically.  Written to BENCH_oom.json.\n\n";
   let trials = List.init 12 (fun i -> oom_trial (!seed_flag + i)) in
-  Telemetry.reset ();
-  Telemetry.set_enabled true;
   let sweep_of flags =
-    List.map (fun t -> (t, Difftest.run_trial_oom ~flags t)) trials
+    time (fun () ->
+        List.map (fun t -> (t, Difftest.run_trial_oom ~flags t)) trials)
   in
-  let (default_sweep, dt) = time (fun () -> sweep_of Annot.Flags.default) in
   let am_flags =
     { Annot.Flags.default with Annot.Flags.alloc_model = true }
   in
-  let (am_sweep, dt2) = time (fun () -> sweep_of am_flags) in
-  let n_inject = Telemetry.Counter.value Telemetry.c_oom_injections in
-  Telemetry.set_enabled false;
-  Telemetry.reset ();
+  let (default_sweep, dt), (am_sweep, dt2), n_inject =
+    with_telemetry (fun () ->
+        let d = sweep_of Annot.Flags.default in
+        let am = sweep_of am_flags in
+        (d, am, Telemetry.Counter.value Telemetry.c_oom_injections))
+  in
   let findings sweep =
     List.concat_map
       (fun ((t : Difftest.trial), runs) ->
@@ -1676,11 +1294,7 @@ let oom_exp () =
               ] );
         ])
   in
-  let oc = open_out "BENCH_oom.json" in
-  output_string oc (Telemetry.Json.to_string doc);
-  output_string oc "\n";
-  close_out oc;
-  row "  wrote BENCH_oom.json\n";
+  write_bench "BENCH_oom.json" doc;
   (* the CI gates: no unexcused divergence under either config, at
      least one excused realloc-lost under the default heuristic, and
      none left once +allocmodel witnesses them statically *)
@@ -1784,11 +1398,7 @@ let svcomp_exp () =
               ("tasks", List (List.map task_json scored));
             ])
       in
-      let oc = open_out "BENCH_svcomp.json" in
-      output_string oc (Telemetry.Json.to_string doc);
-      output_string oc "\n";
-      close_out oc;
-      row "  wrote BENCH_svcomp.json\n";
+      write_bench "BENCH_svcomp.json" doc;
       if sum.Svcomp.n_unsound > 0 then begin
         List.iter
           (fun (s : Svcomp.scored) ->
@@ -1802,6 +1412,10 @@ let svcomp_exp () =
         exit 3
       end
 
+(* ------------------------------------------------------------------ *)
+(* Driver                                                              *)
+(* ------------------------------------------------------------------ *)
+
 let experiments =
   [
     ("fig_sample", fig_sample);
@@ -1813,9 +1427,7 @@ let experiments =
     ("rt_coverage", rt_coverage);
     ("annot_burden", annot_burden);
     ("ablation", ablation);
-    ("phases", phases);
     ("infer", infer_exp);
-    ("scale", scale);
     ("difftest", difftest_exp);
     ("loops", loops_exp);
     ("xproc", xproc_exp);
@@ -1825,7 +1437,7 @@ let experiments =
   ]
 
 let () =
-  (* peel [-seed N] / [-baseline FILE] off before experiment dispatch *)
+  (* peel [-seed N] off before experiment dispatch *)
   let rec parse_args acc = function
     | "-seed" :: v :: rest ->
         (match int_of_string_opt v with
@@ -1836,12 +1448,6 @@ let () =
         parse_args acc rest
     | [ "-seed" ] ->
         Printf.eprintf "bench: -seed expects an integer\n";
-        exit 2
-    | "-baseline" :: v :: rest ->
-        baseline_flag := Some v;
-        parse_args acc rest
-    | [ "-baseline" ] ->
-        Printf.eprintf "bench: -baseline expects a file\n";
         exit 2
     | a :: rest -> parse_args (a :: acc) rest
     | [] -> List.rev acc

@@ -45,16 +45,10 @@ let run files flag_args load_libs lcl_specs dump_lib no_stdlib quiet stats
   let flags =
     match Annot.Flags.(apply_all default) flag_args with
     | Ok f -> f
-    | Error (Annot.Flags.Unknown_flag name) ->
-        (match Annot.Flags.suggest name with
-        | Some near ->
-            Printf.eprintf "olclint: unknown flag '%s' (did you mean '%s'?)\n"
-              name near
-        | None ->
-            Printf.eprintf
-              "olclint: unknown flag '%s' (see olclint --help or \
-               docs/diagnostics.md for the flag list)\n"
-              name);
+    | Error e ->
+        Printf.eprintf "olclint: %s\n"
+          (Annot.Flags.error_message
+             ~help:"olclint --help or docs/diagnostics.md" e);
         exit 2
   in
   if stats || timings then Telemetry.set_enabled true;

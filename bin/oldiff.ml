@@ -21,16 +21,9 @@ let run seed runs timeout_steps jobs reduce_dir verbose oom flag_args =
   let flags =
     match Annot.Flags.(apply_all default) flag_args with
     | Ok f -> f
-    | Error (Annot.Flags.Unknown_flag name) ->
-        (match Annot.Flags.suggest name with
-        | Some near ->
-            Printf.eprintf "oldiff: unknown flag '%s' (did you mean '%s'?)\n"
-              name near
-        | None ->
-            Printf.eprintf
-              "oldiff: unknown flag '%s' (see docs/diagnostics.md for the \
-               flag list)\n"
-              name);
+    | Error e ->
+        Printf.eprintf "oldiff: %s\n"
+          (Annot.Flags.error_message ~help:"docs/diagnostics.md" e);
         exit 2
   in
   let jobs = if jobs <= 0 then Parcheck.default_jobs () else jobs in

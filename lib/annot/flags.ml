@@ -122,10 +122,11 @@ let none =
     check_use_released = false;
   }
 
-type flag_error = Unknown_flag of string
+type flag_error = Unknown_flag of string | Bad_value of string * string
 
 (** Apply one LCLint-style flag string ([+name] enables, [-name] disables).
-    Returns [Error] for unknown names. *)
+    Returns [Error] for unknown names and for values a valued flag does
+    not accept. *)
 let apply (f : t) (s : string) : (t, flag_error) result =
   (* tolerate cmdliner's '=' glue (-f=-allimponly) and a no- prefix *)
   let s =
@@ -184,9 +185,10 @@ let apply (f : t) (s : string) : (t, flag_error) result =
          bound (also reachable as [-loopiter N] from the CLIs) *)
       match String.index_opt name '=' with
       | Some i when String.sub name 0 i = "loopiter" -> (
-          match int_of_string_opt (String.sub name (i + 1) (String.length name - i - 1)) with
+          let v = String.sub name (i + 1) (String.length name - i - 1) in
+          match int_of_string_opt v with
           | Some n when n >= 1 -> Ok { f with loop_iter = n }
-          | _ -> Error (Unknown_flag name))
+          | _ -> Error (Bad_value ("loopiter", v)))
       | _ -> Error (Unknown_flag name))
 
 let apply_all (f : t) (ss : string list) : (t, flag_error) result =
@@ -271,3 +273,15 @@ let suggest name =
   match best with
   | Some (candidate, d) when d <= budget -> Some candidate
   | _ -> None
+
+let error_message ?help = function
+  | Bad_value (name, v) ->
+      Printf.sprintf "flag '%s' expects an integer >= 1, got '%s'" name v
+  | Unknown_flag name -> (
+      match (suggest name, help) with
+      | Some near, _ ->
+          Printf.sprintf "unknown flag '%s' (did you mean '%s'?)" name near
+      | None, Some where ->
+          Printf.sprintf "unknown flag '%s' (see %s for the flag list)" name
+            where
+      | None, None -> Printf.sprintf "unknown flag '%s'" name)

@@ -50,7 +50,11 @@ val allimponly_off : t -> t
 val none : t
 (** All checks off; used for message-count baselines. *)
 
-type flag_error = Unknown_flag of string
+type flag_error =
+  | Unknown_flag of string
+  | Bad_value of string * string
+      (** [(name, value)]: a valued flag given a value it does not
+          accept, e.g. [loopiter=0] *)
 
 val apply : t -> string -> (t, flag_error) result
 (** Apply one flag string: [+name] enables, [-name] (or [no-name])
@@ -69,9 +73,8 @@ val canonical : t -> string
 val flag_names : string list
 (** Every recognized flag name. *)
 
-val edit_distance : string -> string -> int
-(** Levenshtein distance between two strings. *)
-
-val suggest : string -> string option
-(** The known flag nearest to a mistyped name, when close enough to be a
-    plausible typo (used by the CLI's unknown-flag error path). *)
+val error_message : ?help:string -> flag_error -> string
+(** The one rendering of a flag error, without a program prefix.  An
+    unknown name gets the nearest known flag when it is close enough to
+    be a plausible typo, else a pointer to [help] (where the flag list is
+    documented) when given. *)

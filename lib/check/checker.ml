@@ -361,22 +361,27 @@ let check_rvalue_use env st (r : Sref.t) ~loc =
 
 (** Report a dereference of a possibly-null pointer, then refine to
     non-null to avoid cascades.  [how] describes the access for the
-    message, e.g. "Arrow access from" or "Dereference of". *)
-let check_deref env st (r : Sref.t) ~(how : string) ~(access : string) ~loc =
+    message, e.g. "Arrow access from" or "Dereference of"; [access]
+    renders the accessing expression from the rendered reference, and
+    runs only when a diagnostic is reported (rendering a reference costs
+    its depth, and every [*p], [p[i]] and [p->f] passes here). *)
+let check_deref env st (r : Sref.t) ~(how : string)
+    ~(access : string -> string) ~loc =
   let s = Store.get st r in
   match s.Store.rs_null with
   | (NSnull | NSpossnull) when env.flags.Flags.check_null ->
       let state_word =
         match s.Store.rs_null with NSnull -> "null" | _ -> "possibly null"
       in
+      let rs = Sref.to_string r in
       let notes =
         match s.Store.rs_nullloc with
         | Some l when not (Loc.is_dummy l) ->
-            [ Diag.note ~loc:l (Fmt.str "Storage %s may become null" (Sref.to_string r)) ]
+            [ Diag.note ~loc:l (Fmt.str "Storage %s may become null" rs) ]
         | _ -> []
       in
       emit env ~loc ~code:"nullderef" ~notes "%s %s pointer %s: %s" how
-        state_word (Sref.to_string r) access;
+        state_word rs (access rs);
       Store.refine_null ~loc st r NSnotnull
   | _ -> st
 
@@ -646,7 +651,7 @@ let rec eval env st (e : Ast.expr) : Store.t * value =
         match bv.v_ref with
         | Some r ->
             check_deref env st r ~how:"Dereference of"
-              ~access:(Fmt.str "*%s" (Sref.to_string r))
+              ~access:(Fmt.str "*%s")
               ~loc
         | None -> st
       in
@@ -683,7 +688,7 @@ let rec eval env st (e : Ast.expr) : Store.t * value =
         match bv.v_ref with
         | Some r ->
             check_deref env st r ~how:"Index of"
-              ~access:(Fmt.str "%s[...]" (Sref.to_string r))
+              ~access:(Fmt.str "%s[...]")
               ~loc
         | None -> st
       in
@@ -807,7 +812,7 @@ and arrow_base_checks env st (bv : value) ~fname ~loc : Store.t =
   match bv.v_ref with
   | Some r ->
       check_deref env st r ~how:"Arrow access from"
-        ~access:(Fmt.str "%s->%s" (Sref.to_string r) fname)
+        ~access:(fun rs -> Fmt.str "%s->%s" rs fname)
         ~loc
   | None -> st
 
@@ -895,7 +900,7 @@ and lval env st (e : Ast.expr) : Store.t * (Sref.t option * Ctype.t) =
         match bv.v_ref with
         | Some r ->
             check_deref env st r ~how:"Dereference of"
-              ~access:(Fmt.str "*%s" (Sref.to_string r))
+              ~access:(Fmt.str "*%s")
               ~loc
         | None -> st
       in
@@ -910,7 +915,7 @@ and lval env st (e : Ast.expr) : Store.t * (Sref.t option * Ctype.t) =
         match bv.v_ref with
         | Some r ->
             check_deref env st r ~how:"Index of"
-              ~access:(Fmt.str "%s[...]" (Sref.to_string r))
+              ~access:(Fmt.str "%s[...]")
               ~loc
         | None -> st
       in

@@ -558,12 +558,11 @@ let update t ~flags ~canon docs =
 
 let check ?(jobs = 1) ?(flag_args = []) t docs =
   match Flags.apply_all t.base_flags flag_args with
-  | Error (Flags.Unknown_flag name) ->
+  | Error e ->
       Error
         (Diag.make
            ~loc:{ Loc.file = "<request>"; line = 1; col = 1 }
-           ~code:"flag"
-           (Printf.sprintf "unknown flag '%s'" name))
+           ~code:"flag" (Flags.error_message e))
   | Ok flags -> (
       let canon = Flags.canonical flags in
       match update t ~flags ~canon docs with

@@ -372,42 +372,3 @@ let pp_timings ppf () =
         r.ph_phase r.ph_calls pp_secs r.ph_secs)
     (phase_rows ());
   Format.fprintf ppf "-----------------------------------------------------@\n"
-
-(* ------------------------------------------------------------------ *)
-(* JSON                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let rec json_of_span sp =
-  Json.Obj
-    ([ ("name", Json.String sp.sp_name) ]
-    @ (match sp.sp_file with
-      | Some f -> [ ("file", Json.String f) ]
-      | None -> [])
-    @ (match sp.sp_label with
-      | Some l -> [ ("label", Json.String l) ]
-      | None -> [])
-    @ [ ("seconds", Json.Float sp.sp_secs) ]
-    @
-    match sp.sp_children with
-    | [] -> []
-    | cs -> [ ("children", Json.List (List.map json_of_span cs)) ])
-
-let to_json () =
-  Json.Obj
-    [
-      ( "phases",
-        Json.List
-          (List.map
-             (fun r ->
-               Json.Obj
-                 [
-                   ("file", Json.String r.ph_file);
-                   ("phase", Json.String r.ph_phase);
-                   ("calls", Json.Int r.ph_calls);
-                   ("seconds", Json.Float r.ph_secs);
-                 ])
-             (phase_rows ())) );
-      ( "counters",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters ())) );
-      ("spans", Json.List (List.map json_of_span (spans ())));
-    ]

@@ -17,12 +17,13 @@
     the main domain with {!snapshot}/{!absorb} after joining them.
     Counter handles are registered in one shared (mutex-guarded) table so
     the per-domain value slots line up across domains.  The reporters
-    ({!counters}, {!pp_stats}, {!to_json}, …) read the calling domain's
+    ({!counters}, {!pp_stats}, {!pp_timings}, …) read the calling domain's
     state — call them on the main domain after absorbing.
     {!set_enabled} must only be toggled while no worker domains run.
 
-    {!Json} re-exports the hand-rolled JSON encoder shared by the
-    [-json] diagnostic records and {!to_json}. *)
+    {!Json} re-exports the hand-rolled JSON encoder used by the [-json]
+    diagnostic records and the benchmark harness's [BENCH_*.json]
+    records. *)
 
 module Json = Json
 
@@ -239,8 +240,3 @@ val pp_stats : Format.formatter -> unit -> unit
 
 val pp_timings : Format.formatter -> unit -> unit
 (** Per-file per-phase table of {!phase_rows}. *)
-
-val to_json : unit -> Json.t
-(** The whole recording — phases, counters and the span forest — as one
-    JSON object (the benchmark harness writes this as
-    [BENCH_phases.json]). *)

@@ -415,6 +415,16 @@ cmp -s "$tmp/out" "$tmp/out2" || fail "-f +loopexec must match bare +loopexec"
   || fail "-f loopiter=1 should bail out to the silent heuristic"
 cmp -s "$tmp/out" "$tmp/out2" || fail "-loopiter 1 must match -f loopiter=1"
 
+# a value the bound does not accept is a value error, not an unknown flag
+for spelling in "-loopiter 0" "-f=loopiter=0"; do
+  # shellcheck disable=SC2086 # the spelling is two words on purpose
+  "$OLCLINT" +loopexec $spelling "$tmp/loop.c" > "$tmp/out" 2>&1
+  [ $? -eq 2 ] || fail "'$spelling' should exit 2"
+  expect_contains "$tmp/out" "flag 'loopiter' expects an integer >= 1, got '0'" \
+    "'$spelling' value error"
+  grep -q "unknown flag" "$tmp/out" && fail "'$spelling' is not an unknown flag"
+done
+
 # a typo'd spelling gets a suggestion
 "$OLCLINT" +loopexce "$tmp/loop.c" > "$tmp/out" 2>&1
 [ $? -eq 2 ] || fail "unknown +loopexce should exit 2"

@@ -122,6 +122,9 @@ let test_flags_apply () =
   (match Annot.Flags.apply f "no-null" with
   | Ok f' -> Alcotest.(check bool) "no-null" false f'.Annot.Flags.check_null
   | Error _ -> Alcotest.fail "no-null should parse");
+  (match Annot.Flags.apply f "loopiter=0" with
+  | Error (Annot.Flags.Bad_value ("loopiter", "0")) -> ()
+  | _ -> Alcotest.fail "loopiter=0 should be a bad value");
   match Annot.Flags.apply f "-nonsense" with
   | Error (Annot.Flags.Unknown_flag "nonsense") -> ()
   | _ -> Alcotest.fail "unknown flag should be rejected"

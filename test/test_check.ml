@@ -1251,13 +1251,18 @@ let long_main blocks =
   Buffer.add_string b "  return total;\n}\n";
   Buffer.contents b
 
-(* Words the checker allocates on [long_main blocks] (parse and sema
-   excluded), and its diagnostics as "line:code". *)
-let check_long_main blocks =
+(* [int f(int **...*p) { return **...*p; }] with a [depth]-deep chain *)
+let deref_chain depth =
+  let stars = String.make depth '*' in
+  Printf.sprintf "int f(int %sp)\n{\n  return %sp;\n}\n" stars stars
+
+(* Words the checker allocates on [src] (parse and sema excluded), and
+   its diagnostics as "line:code". *)
+let checker_words src =
   let flags = Flags.default in
   let prog =
     Sema.analyze_string ~flags ~into:(Stdspec.environment ~flags ())
-      ~file:"long.c" (long_main blocks)
+      ~file:"long.c" src
   in
   let before = Gc.allocated_bytes () in
   let diags = Parcheck.check_program ~jobs:1 prog in
@@ -1275,8 +1280,8 @@ let check_long_main blocks =
    wall-clock time, so this gates without a timing race. *)
 let test_growth_linear () =
   let golden = [ "14:mustfree"; "29:usereleased"; "39:usereleased" ] in
-  let small_words, small = check_long_main 250 in
-  let large_words, large = check_long_main 1000 in
+  let small_words, small = checker_words (long_main 250) in
+  let large_words, large = checker_words (long_main 1000) in
   Alcotest.(check (list string)) "250-block diagnostics" golden small;
   Alcotest.(check (list string)) "1000-block diagnostics" golden large;
   let ratio = large_words /. small_words in
@@ -1284,10 +1289,28 @@ let test_growth_linear () =
     Alcotest.failf "checker allocation grew %.1fx for 4x the blocks (%.0f -> %.0f words)"
       ratio small_words large_words
 
+(* A dereference chain four times as deep.  Rendering every intermediate
+   reference for a message that is never reported makes the chain cost
+   the cube of its depth, a ratio near 42.  The bound leaves room for a
+   remaining superlinear term (a ratio near 16) not diagnosed yet. *)
+let test_growth_deref_chain () =
+  let small_words, small = checker_words (deref_chain 500) in
+  let large_words, large = checker_words (deref_chain 2000) in
+  Alcotest.(check (list string)) "500-deep diagnostics" [] small;
+  Alcotest.(check (list string)) "2000-deep diagnostics" [] large;
+  let ratio = large_words /. small_words in
+  if ratio > 20.0 then
+    Alcotest.failf "checker allocation grew %.1fx for a 4x deeper chain (%.0f -> %.0f words)"
+      ratio small_words large_words
+
 let () =
   Alcotest.run "check"
     [
-      ("growth", [ Alcotest.test_case "linear in procedure length" `Quick test_growth_linear ]);
+      ( "growth",
+        [
+          Alcotest.test_case "linear in procedure length" `Quick test_growth_linear;
+          Alcotest.test_case "dereference chain depth" `Quick test_growth_deref_chain;
+        ] );
       ( "figures",
         [
           Alcotest.test_case "fig1 clean" `Quick test_fig1_unannotated_clean;

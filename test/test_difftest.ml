@@ -66,9 +66,9 @@ let test_replay_recovery_flags () =
               let flags =
                 match Flags.apply Flags.default flag with
                 | Ok f -> f
-                | Error (Flags.Unknown_flag f) ->
-                    Alcotest.failf "%s: triage record names unknown flag %s"
-                      r.Difftest.r_name f
+                | Error e ->
+                    Alcotest.failf "%s: triage record flag: %s"
+                      r.Difftest.r_name (Flags.error_message e)
               in
               let replayed =
                 match Difftest.replay ~flags path with

@@ -183,6 +183,54 @@ let test_check_program_counters () =
       Alcotest.(check bool) "procedures counted" true (seq > 0);
       Alcotest.(check int) "exact at -j 4" seq par)
 
+(* ---- the seed-42 progen corpora: -j identity and store traffic ---- *)
+
+(* analysed once each and shared by every run: checking only reads the
+   program *)
+let seed42_corpus (modules, fns_per_module) =
+  Progen.analyse (Progen.generate ~seed:42 ~modules ~fns_per_module ())
+
+let largest = lazy (seed42_corpus (150, 62))
+
+let test_seed42_jobs () =
+  List.iter
+    (fun ((modules, fns) as size) ->
+      let p =
+        if size = (150, 62) then Lazy.force largest else seed42_corpus size
+      in
+      let want = render p (Parcheck.check_program ~jobs:1 p) in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check string)
+            (Printf.sprintf "%dx%d corpus: -j 1 vs -j %d" modules fns jobs)
+            want
+            (render p (Parcheck.check_program ~jobs p)))
+        [ 2; 4; 8 ])
+    [ (2, 5); (10, 5); (20, 10); (150, 62) ]
+
+(* Sequential store operations on the 150x62 corpus (~137k lines, 9,300
+   procedures) as recorded with write elision in place.  A count, so the
+   gate is deterministic: more than 10% over it means the checker writes
+   more per statement than it did (dropping write elision adds ~17%). *)
+let recorded_store_ops = 163_532
+
+let test_seed42_store_ops () =
+  let p = Lazy.force largest in
+  Telemetry.set_enabled true;
+  let ops =
+    Fun.protect
+      ~finally:(fun () ->
+        Telemetry.set_enabled false;
+        Telemetry.reset ())
+      (fun () ->
+        Telemetry.reset ();
+        ignore (Parcheck.check_program ~jobs:1 p);
+        Telemetry.Counter.value Telemetry.c_store_ops)
+  in
+  if ops * 10 > recorded_store_ops * 11 then
+    Alcotest.failf "sequential store_ops %d is over 1.1x the baseline %d" ops
+      recorded_store_ops
+
 (* ---- block scope: checking is a function of (program, procedure) ---- *)
 
 let analyze_src ?flags src = analyze ?flags [ ("block.c", src) ]
@@ -417,6 +465,12 @@ let () =
             test_xproc_seq_vs_parallel;
           Alcotest.test_case "+xproc annotated identity" `Quick
             test_xproc_annotated_identity;
+        ] );
+      ( "seed-42",
+        [
+          Alcotest.test_case "-j 1/2/4/8 identity" `Quick test_seed42_jobs;
+          Alcotest.test_case "store_ops gate" `Quick
+            test_seed42_store_ops;
         ] );
       ( "scheduler",
         [
